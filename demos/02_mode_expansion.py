@@ -18,7 +18,7 @@ config = RunConfig(
     mesh_n=50,
     noise=NoiseSpec(low=0.0, high=1.0),
 )
-result = run_multimodes(config, threads=2)
+result = run_multimodes(config)
 
 print(f"sigma_hat = {result.sigma_hat:.2f} (coarse a priori contraction bound)")
 print(f"{'mode':>4} {'mean L2':>12} {'mean H1h':>12} {'rho':>8}")

@@ -16,7 +16,7 @@ spec = StudySpec(
     m_values=(25, 100, 400, 1600),
     m_ref=6400,
 )
-out = run_m_scaling(spec, threads=2)
+out = run_m_scaling(spec)
 
 print(f"{'M':>6} {'L2 error vs reference':>22}")
 for row in out["rows"]:

@@ -2,21 +2,14 @@
 random media, with a single-factorization multi-modes algorithm and a
 classical per-sample baseline."""
 
-from .assembly import (
-    PenaltySet,
-    SystemMatrix,
-    assemble_constant,
-    assemble_rhs,
-    assemble_variable,
-    get_assembler,
-)
+from .assembly import PenaltySet, SystemMatrix, broken_norms, get_assembler
 from .classical import BaselineResult, compare_fields, run_classical
 from .linalg import LUFactors, SingularMatrixError, SolverCounters, lu_factorize, lu_solve
 from .mesh import TriMesh, build_uniform_mesh, reference_quadrature
-from .multimodes import RunConfig, RunResult, mode_rhs_update, run_multimodes, sample_average
-from .randomness import MediaSample, NoiseSpec, alpha_at, sample_media
-from .sources import SourceSpec, eval_source, source_volume
-from .space import DGFunction, DGSpace, broken_norms
+from .multimodes import RunConfig, RunResult, mode_rhs_update, run_multimodes
+from .randomness import MediaSample, NoiseSpec, sample_media
+from .sources import SourceSpec, source_volume
+from .space import DGFunction, DGSpace
 from .studies import (
     StudySpec,
     export_cross_section,

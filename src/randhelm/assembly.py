@@ -13,28 +13,21 @@ polynomial degree:
 with c = alpha^2 at volume quadrature points and c_b = alpha on boundary
 edges (both identically 1 for the constant-coefficient operator).
 All basis functions are real, so every term yields a symmetric matrix and
-the assembled operator is complex-symmetric.
+the assembled operator is complex-symmetric.  The broken norms of a DG
+function are quadratic forms built from the same element and edge blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh
-from .space import DGSpace
+from .space import DGFunction, DGSpace
 
-__all__ = [
-    "PenaltySet",
-    "SystemMatrix",
-    "Assembler",
-    "get_assembler",
-    "assemble_constant",
-    "assemble_variable",
-    "assemble_rhs",
-]
+__all__ = ["PenaltySet", "SystemMatrix", "Assembler", "get_assembler", "broken_norms"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ class PenaltySet:
     def key(self) -> tuple:
         return (self.gamma0, self.gamma_higher, self.beta1)
 
-    def validate(self, strict: bool = False) -> None:
+    def validate(self) -> None:
         vals = (self.gamma0, self.beta1, *self.gamma_higher)
         if not all(isfinite(v) for v in vals):
             raise ValueError("penalty parameters must be finite")
@@ -77,7 +70,6 @@ class SystemMatrix:
     matrix: sp.csc_matrix
     k: float
     penalties: PenaltySet
-    coefficient_kind: tuple
 
     @property
     def ndof(self) -> int:
@@ -95,20 +87,24 @@ class SystemMatrix:
 class Assembler:
     """Precomputed assembly kernel for one (space, penalties) pair.
 
-    The row and column indices and all coefficient-independent blocks are
-    built once; a constant or variable operator then takes fresh mass and
-    boundary values and one COO-to-CSC conversion, which sorts and sums
-    the entries again for every operator.  Most of the classical
-    baseline's cost difference from the multi-modes method is one `splu`
-    factorization per sample; that conversion and, in `lu_factorize`, the
-    U diagonal for the pivot check and the matrix fingerprint are paid
-    per sample on top of it.
+    The only builder of element and edge blocks: stiffness, mass,
+    boundary mass, the interior-edge consistency fluxes and the jump
+    penalties.  The row and column indices and all coefficient-independent
+    blocks are built once; a constant or variable operator then takes
+    fresh mass and boundary values and one COO-to-CSC conversion, which
+    sorts and sums the entries again for every operator.  Most of the
+    classical baseline's cost difference from the multi-modes method is
+    one `splu` factorization per sample; that conversion and, in
+    `lu_factorize`, the U diagonal for the pivot check are paid per sample
+    on top of it.
 
-    Point evaluation at the volume and boundary quadrature points is a
-    real sparse matrix each; their transposes are the load operators.
-    `mass_operator` and `boundary_operator` serve the multi-modes
-    recursion: they act on a batch of coefficient vectors stacked sample
-    after sample.
+    `norm_forms` scatters the same blocks, with the norm's penalty
+    weights, into the real quadratic forms of `broken_norms`; it is built
+    on first use.  Point evaluation at the volume and boundary quadrature
+    points is a real sparse matrix each; their transposes are the load
+    operators.  `mass_operator` and `boundary_operator` serve the
+    multi-modes recursion: they act on a batch of coefficient vectors
+    stacked sample after sample.
     """
 
     def __init__(self, space: DGSpace, penalties: PenaltySet = PenaltySet()):
@@ -121,50 +117,25 @@ class Assembler:
         dofs = space.dofs
 
         # Element blocks (stiffness and mass share indices).
-        self._stiff = np.einsum(
-            "eq,eqic,eqjc->eij", mesh.volume_weights, t.Gphys, t.Gphys
-        )
-        shape_el = self._stiff.shape
-        rows_el = np.broadcast_to(dofs[:, :, None], shape_el).ravel()
-        cols_el = np.broadcast_to(dofs[:, None, :], shape_el).ravel()
+        stiff = np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, t.Gphys, t.Gphys)
+        rows_el = np.broadcast_to(dofs[:, :, None], stiff.shape).ravel()
+        cols_el = np.broadcast_to(dofs[:, None, :], stiff.shape).ravel()
 
         # Interior-edge blocks on the stacked (K, K') DOF pair.
         ie = mesh.interior_edges
-        self._ie = ie
-        w = mesh.edge_weights[ie]
-        h_e = mesh.edge_length[ie]
+        self._w_ie = mesh.edge_weights[ie]
+        self._h_ie = mesh.edge_length[ie]
         sign = (1.0, -1.0)
-        jump_v = np.concatenate(
-            [sign[s] * t.trace[ie, s] for s in (0, 1)], axis=2
-        )
-        jump_t = np.concatenate(
-            [sign[s] * t.trace_dt[ie, s] for s in (0, 1)], axis=2
-        )
-        avg_dn = 0.5 * np.concatenate(
-            [t.trace_dn[1][ie, s] for s in (0, 1)], axis=2
-        )
-        cross = np.einsum("eq,eqi,eqj->eij", w, avg_dn, jump_v)
-        cons = -(cross + cross.transpose(0, 2, 1))
 
-        pen = np.einsum(
-            "e,eq,eqi,eqj->eij", penalties.gamma0 / h_e, w, jump_v, jump_v
-        )
-        pen += np.einsum(
-            "e,eq,eqi,eqj->eij", penalties.beta1 / h_e, w, jump_t, jump_t
-        )
-        for j in range(1, r + 1):
-            jump_n = np.concatenate(
-                [sign[s] * t.trace_dn[j][ie, s] for s in (0, 1)], axis=2
-            )
-            pen += np.einsum(
-                "e,eq,eqi,eqj->eij",
-                penalties.gamma_j(j) * h_e ** (2 * j - 1),
-                w,
-                jump_n,
-                jump_n,
-            )
-        self._cons = cons
-        self._pen = pen
+        def jump(trace):
+            return np.concatenate([sign[s] * trace[ie, s] for s in (0, 1)], axis=2)
+
+        self._jump_v = jump(t.trace)
+        self._jump_t = jump(t.trace_dt)
+        self._jump_n = [jump(t.trace_dn[j]) for j in range(1, r + 1)]
+        avg_dn = 0.5 * np.concatenate([t.trace_dn[1][ie, s] for s in (0, 1)], axis=2)
+        cross = np.einsum("eq,eqi,eqj->eij", self._w_ie, avg_dn, self._jump_v)
+        cons = -(cross + cross.transpose(0, 2, 1))
         dpair = np.concatenate(
             [dofs[mesh.edge_elems[ie, 0]], dofs[mesh.edge_elems[ie, 1]]], axis=1
         )
@@ -197,9 +168,9 @@ class Assembler:
         self._sl_bnd = slice(2 * n_el + 2 * n_ie, self._rows.size)
 
         self._vals = np.empty(self._rows.size, dtype=complex)
-        self._vals[self._sl_stiff] = self._stiff.ravel()
+        self._vals[self._sl_stiff] = stiff.ravel()
         self._vals[self._sl_cons] = cons.ravel()
-        self._vals[self._sl_pen] = 1j * pen.ravel()
+        self._vals[self._sl_pen] = 1j * self._penalty_blocks(1).ravel()
 
         self._BB = np.einsum("qi,qj->qij", t.B, t.B)       # (nq, ld, ld)
         self._Wv = mesh.volume_weights
@@ -218,7 +189,27 @@ class Assembler:
             space.ndof,
         )
 
-    # -- operators -------------------------------------------------------
+    # -- element and edge blocks -----------------------------------------
+
+    def _penalty_blocks(self, s) -> np.ndarray:
+        """Interior-edge blocks of the jump penalties at degree scale s.
+
+        Value jumps weigh gamma0*s/h_e, tangential-derivative jumps
+        beta1*s/h_e and j-th normal-derivative jumps gamma_j*(h_e/s)^(2j-1).
+        The operator uses s = 1, the broken norm s = r.
+        """
+        p, w, h_e = self.penalties, self._w_ie, self._h_ie
+        blocks = np.einsum(
+            "e,eq,eqi,eqj->eij", p.gamma0 * s / h_e, w, self._jump_v, self._jump_v
+        )
+        blocks += np.einsum(
+            "e,eq,eqi,eqj->eij", p.beta1 * s / h_e, w, self._jump_t, self._jump_t
+        )
+        for j, jump_n in enumerate(self._jump_n, start=1):
+            blocks += np.einsum(
+                "e,eq,eqi,eqj->eij", p.gamma_j(j) * (h_e / s) ** (2 * j - 1), w, jump_n, jump_n
+            )
+        return blocks
 
     def _mass_blocks(self, c=None) -> np.ndarray:
         """Element blocks of the weighted mass form (c u, v).
@@ -239,7 +230,9 @@ class Assembler:
         wc = self._bweights if c is None else self._bweights * c
         return np.einsum("...eq,eqi,eqj->...eij", wc, self._btrace, self._btrace)
 
-    def _build(self, k, cvol, cbnd, kind) -> SystemMatrix:
+    # -- operators -------------------------------------------------------
+
+    def _build(self, k, cvol, cbnd) -> SystemMatrix:
         if k <= 0.0:
             raise ValueError("wavenumber k must be positive")
         vals = self._vals.copy()
@@ -249,10 +242,10 @@ class Assembler:
             (vals, (self._rows, self._cols)),
             shape=(self.space.ndof, self.space.ndof),
         )
-        return SystemMatrix(mat, k, self.penalties, kind)
+        return SystemMatrix(mat, k, self.penalties)
 
     def constant(self, k: float) -> SystemMatrix:
-        return self._build(k, None, None, ("constant",))
+        return self._build(k, None, None)
 
     def variable(self, k: float, media, epsilon: float) -> SystemMatrix:
         if not 0.0 <= epsilon < 1.0:
@@ -260,9 +253,7 @@ class Assembler:
         self._check_media(media)
         alpha_v = 1.0 + epsilon * media.eta_volume
         alpha_b = 1.0 + epsilon * media.eta_boundary
-        return self._build(
-            k, alpha_v * alpha_v, alpha_b, ("sampled", media.index, epsilon)
-        )
+        return self._build(k, alpha_v * alpha_v, alpha_b)
 
     def _check_media(self, media) -> None:
         if media.eta_volume.shape != self._Wv.shape or media.eta_boundary.shape != (
@@ -270,6 +261,26 @@ class Assembler:
             self.mesh.ref_edge_points.size,
         ):
             raise ValueError("media sample layout does not match this mesh")
+
+    @cached_property
+    def norm_forms(self) -> tuple:
+        """Real CSR forms (mass, stiffness, jump, boundary mass) of the broken norms.
+
+        The jump form is the penalty form at degree scale s = r.  Each form
+        is scattered on the operator's row and column indices.
+        """
+        def form(sl, blocks):
+            return sp.csr_matrix(
+                (blocks.ravel(), (self._rows[sl], self._cols[sl])),
+                shape=(self.space.ndof, self.space.ndof),
+            )
+
+        return (
+            form(self._sl_mass, self._mass_blocks()),
+            form(self._sl_stiff, self._vals[self._sl_stiff].real),
+            form(self._sl_pen, self._penalty_blocks(self.space.degree)),
+            form(self._sl_bnd, self._boundary_blocks()),
+        )
 
     # -- block operators on stacked coefficient vectors ------------------
 
@@ -378,35 +389,26 @@ def get_assembler(space: DGSpace, penalties: PenaltySet = PenaltySet()) -> Assem
     return cache[key]
 
 
-def _check_pair(mesh: TriMesh, space: DGSpace) -> None:
-    if space.mesh is not mesh:
-        raise ValueError("mesh and space do not belong together")
 
+def broken_norms(f: DGFunction, penalties) -> dict:
+    """L2, broken-H1 seminorm/norm, and boundary L2 norm of a DG function.
 
-def assemble_constant(
-    mesh: TriMesh, space: DGSpace, k: float, penalties: PenaltySet = PenaltySet()
-) -> SystemMatrix:
-    """Constant-coefficient IP-DG operator (background medium alpha = 1)."""
-    _check_pair(mesh, space)
-    return get_assembler(space, penalties).constant(k)
+    The full broken norm adds penalty-weighted jump terms across interior
+    edges: value jumps at gamma0*r/h_e, tangential-derivative jumps at
+    beta1*r/h_e, and j-th normal-derivative jumps at gamma_j*(h_e/r)^(2j-1).
+    """
+    penalties.validate()
+    mass, stiff, jump, bmass = get_assembler(f.space, penalties).norm_forms
+    c = f.coefficients
 
+    def quad(mat):
+        return max(float(np.real(np.vdot(c, mat @ c))), 0.0)
 
-def assemble_variable(
-    mesh: TriMesh,
-    space: DGSpace,
-    k: float,
-    penalties: PenaltySet,
-    media,
-    epsilon: float,
-) -> SystemMatrix:
-    """Variable-coefficient operator with alpha = 1 + epsilon*eta sampled
-    at quadrature points; differs from the constant operator only in the
-    mass and boundary blocks."""
-    _check_pair(mesh, space)
-    return get_assembler(space, penalties).variable(k, media, epsilon)
-
-
-def assemble_rhs(mesh: TriMesh, space: DGSpace, S, Q=None) -> np.ndarray:
-    """Load vector from volume data S and optional boundary data Q."""
-    _check_pair(mesh, space)
-    return get_assembler(space).rhs(S, Q)
+    l2 = np.sqrt(quad(mass))
+    semi_sq = quad(stiff)
+    return {
+        "l2": l2,
+        "seminorm_1h": np.sqrt(semi_sq),
+        "norm_1h": np.sqrt(semi_sq + quad(jump)),
+        "boundary_l2": np.sqrt(quad(bmass)),
+    }

@@ -10,18 +10,17 @@ driver, so the two methods consume identical media samples.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import get_assembler
+from .assembly import PenaltySet, broken_norms, get_assembler
 from .linalg import SolverCounters, lu_factorize, lu_solve
 from .mesh import build_uniform_mesh
 from .multimodes import RunConfig
 from .randomness import sample_media
 from .sources import source_volume
-from .space import DGFunction, DGSpace, broken_norms
+from .space import DGFunction, DGSpace
 
 __all__ = ["BaselineResult", "run_classical", "compare_fields"]
 
@@ -38,7 +37,11 @@ class BaselineResult:
 
 
 def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
-    """Brute-force baseline: one factorization per sample (N is ignored)."""
+    """Brute-force baseline: one factorization per sample (N is ignored).
+
+    Samples run serially in index order; `threads` is accepted for
+    compatibility and has no effect.
+    """
     t0 = time.perf_counter()
     mesh = build_uniform_mesh(config.mesh_n)
     space = DGSpace(mesh, config.degree)
@@ -48,38 +51,17 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
     counters = SolverCounters()
     M = config.num_samples
     psi_sum = np.zeros(space.ndof, dtype=complex)
-    fingerprints = [None] * M
-
-    def work(j):
-        wc = SolverCounters()
+    fingerprints = []
+    t0 = time.perf_counter()
+    t_assembly = 0.0
+    for j in range(M):
         t_a = time.perf_counter()
         media = sample_media(mesh, config.noise, j)
         system = asm.variable(config.k, media, config.epsilon)
         b = asm.rhs(source_volume(config.source, mesh, media, config.epsilon, config.k))
-        t_a = time.perf_counter() - t_a
-        factors = lu_factorize(system, wc)
-        u = lu_solve(factors, b, wc)
-        return media.fingerprint(), u, wc, t_a
-
-    t0 = time.perf_counter()
-    t_assembly = 0.0
-    if threads <= 1:
-        results = map(work, range(M))
-        for j, (fp, u, wc, t_a) in enumerate(results):
-            psi_sum += u
-            fingerprints[j] = fp
-            counters.merge(wc)
-            t_assembly += t_a
-    else:
-        chunk = max(2 * threads, 8)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, M, chunk):
-                js = range(start, min(start + chunk, M))
-                for j, (fp, u, wc, t_a) in zip(js, pool.map(work, js)):
-                    psi_sum += u
-                    fingerprints[j] = fp
-                    counters.merge(wc)
-                    t_assembly += t_a
+        t_assembly += time.perf_counter() - t_a
+        psi_sum += lu_solve(lu_factorize(system, counters), b, counters)
+        fingerprints.append(media.fingerprint())
     t_samples = time.perf_counter() - t0
 
     return BaselineResult(
@@ -100,8 +82,6 @@ def compare_fields(a: DGFunction, b: DGFunction) -> dict:
     sa, sb = a.space, b.space
     if (sa.ndof, sa.degree, sa.mesh.n) != (sb.ndof, sb.degree, sb.mesh.n):
         raise ValueError("fields live on incompatible spaces")
-    from .assembly import PenaltySet
-
     pen = PenaltySet()
     diff = DGFunction(a.space, a.coefficients - b.coefficients)
     abs_l2 = broken_norms(diff, pen)["l2"]

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: mesh-info, solve-det, run-modes, run-classical, compare,
-study.  All numeric output uses 17 significant digits; --threads changes
-speed only, never results.
+study.  All numeric output uses 17 significant digits.  Runs are serial;
+--threads is accepted for compatibility and has no effect.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 from .classical import compare_fields, run_classical
 from .mesh import build_uniform_mesh
 from .multimodes import run_multimodes
-from .space import DGFunction, DGSpace
 from .studies import (
     StudySpec,
     config_from_dict,
@@ -71,14 +70,14 @@ def _cmd_solve_det(args) -> int:
 
 def _cmd_run_modes(args) -> int:
     cfg = _load_config(args.config)
-    run_full(cfg, args.out, threads=args.threads)
+    run_full(cfg, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_run_classical(args) -> int:
     cfg = _load_config(args.config)
-    res = run_classical(cfg, threads=args.threads)
+    res = run_classical(cfg)
     os.makedirs(args.out, exist_ok=True)
     export_field(res.psi_tilde, os.path.join(args.out, "psi_classical.csv"))
     echo = config_to_dict(cfg)
@@ -96,8 +95,8 @@ def _cmd_run_classical(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args.config)
-    modes = run_multimodes(cfg, threads=args.threads)
-    base = run_classical(cfg, threads=args.threads)
+    modes = run_multimodes(cfg)
+    base = run_classical(cfg)
     cmp = compare_fields(modes.psi, base.psi_tilde)
     print(f"abs_l2={_FMT % cmp['abs_l2']}")
     print(f"rel_l2={_FMT % cmp['rel_l2']}")
@@ -114,7 +113,7 @@ def _cmd_study(args) -> int:
     if "study" not in d:
         raise ValueError("study config must contain a 'study' key")
     spec = StudySpec.from_dict(d)
-    run_full(spec, args.out, threads=args.threads)
+    run_full(spec, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -141,7 +140,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=needs_out, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1, help="accepted for compatibility; no effect"
+        )
         p.set_defaults(func=func)
 
     args = parser.parse_args(argv)

@@ -9,9 +9,8 @@ indefinite, so pure diagonal pivoting would be unsafe).
 """
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,23 +52,14 @@ class SolverCounters:
 
 @dataclass
 class LUFactors:
-    """Immutable LU factors; safe for concurrent read-only solves."""
+    """Immutable LU factors, reused for any number of solves."""
 
     _lu: object
     dimension: int
-    fingerprint: str
 
     @property
     def nnz(self) -> int:
         return self._lu.nnz
-
-
-def _matrix_fingerprint(mat: sp.csc_matrix) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(mat.indptr).tobytes())
-    h.update(np.ascontiguousarray(mat.indices).tobytes())
-    h.update(np.ascontiguousarray(mat.data).tobytes())
-    return h.hexdigest()[:16]
 
 
 def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
@@ -100,7 +90,7 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
     if counters is not None:
         counters.factorizations += 1
         counters.factorize_seconds += dt
-    return LUFactors(lu, mat.shape[0], _matrix_fingerprint(mat))
+    return LUFactors(lu, mat.shape[0])
 
 
 def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> np.ndarray:

@@ -5,26 +5,25 @@ perturbation size epsilon; every mode solves the same constant-coefficient
 IP-DG system with a right-hand side built from the previous two modes.
 All M*N solves therefore reuse one factorization.  Samples advance through
 the modes in fixed blocks of 32, one multi-column substitution per mode
-and block.  The blocks may run on a thread pool; per-sample results are
-reduced in fixed sample order, so the output is bit-identical for any
-thread count.
+and block.  Blocks run serially and are reduced in sample order, so the
+output is the same for every call with the same config.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
-from .assembly import Assembler, PenaltySet, get_assembler, real_product
+from .assembly import PenaltySet, get_assembler, real_product
 from .linalg import SolverCounters, lu_factorize, lu_solve
-from .mesh import TriMesh, build_uniform_mesh
+from .mesh import build_uniform_mesh
 from .randomness import MediaSample, NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
-from .space import DGFunction, DGSpace, broken_norms
+from .space import DGFunction, DGSpace
 
-__all__ = ["RunConfig", "RunResult", "run_multimodes", "mode_rhs_update", "sample_average"]
+__all__ = ["RunConfig", "RunResult", "run_multimodes", "mode_rhs_update"]
 
 
 @dataclass(frozen=True)
@@ -43,16 +42,16 @@ class RunConfig:
     c0_hint: float = 1.0
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise ValueError("k must be positive")
+        if not 0.0 < self.k < inf:
+            raise ValueError("k must be positive and finite")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.num_modes < 1 or self.num_samples < 1:
             raise ValueError("N and M must be at least 1")
         if self.mesh_n < 1 or self.degree < 1:
             raise ValueError("mesh_n and degree must be at least 1")
-        if self.c0_hint <= 0.0:
-            raise ValueError("c0_hint must be positive")
+        if not 0.0 < self.c0_hint < inf:
+            raise ValueError("c0_hint must be positive and finite")
 
     @property
     def sigma_hat(self) -> float:
@@ -103,23 +102,10 @@ def mode_rhs_update(u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: 
     return S, Q
 
 
-def sample_average(samples: list[DGFunction]) -> DGFunction:
-    """Coefficientwise arithmetic mean of DG functions on a common space."""
-    if not samples:
-        raise ValueError("cannot average an empty sample list")
-    space = samples[0].space
-    if any(s.space is not space for s in samples):
-        raise ValueError("samples live on different spaces")
-    acc = np.zeros(space.ndof, dtype=complex)
-    for s in samples:
-        acc += s.coefficients
-    return DGFunction(space, acc / len(samples))
+_BLOCK = 32  # samples per multi-column substitution; fixed, so the summation order is too
 
 
-_BLOCK = 32  # samples per solve batch; fixed so results never depend on threads
-
-
-def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
+def _block_modes(js, config, asm, factors, system, refactor, norm_forms, counters):
     """Mode recursion for a block of realizations.
 
     All samples of a block advance through the modes together, so each
@@ -134,8 +120,9 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
     sample.  Between the solves there are only sparse products and
     elementwise operations: a threaded dense BLAS call here would leave
     its worker threads competing with the substitutions that follow.
+    Returns the modes, shape (N, nb, ndof), and per-sample mode norms,
+    shape (nb, N, 2); solves and factorizations are counted in `counters`.
     """
-    counters = SolverCounters()
     mesh = asm.mesh
     nb = len(js)
     ndof = asm.space.ndof
@@ -173,7 +160,7 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
         for c, form in enumerate(norm_forms):
             q = np.einsum("dk,dk->k", Y, form @ Y).reshape(nb, 2).sum(axis=1)
             norms[:, n, c] = np.sqrt(np.maximum(q, 0.0))
-    return modes, norms, counters
+    return modes, norms
 
 
 def run_multimodes(
@@ -187,7 +174,8 @@ def run_multimodes(
     Exactly one factorization is performed regardless of M and N (unless
     `refactor_each_solve` is set, a diagnostic mode used to verify the
     factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
-    the mode-0 sample average after the given sample counts.
+    the mode-0 sample average after the given sample counts.  `threads` is
+    accepted for compatibility and has no effect: samples run serially.
     """
     t0 = time.perf_counter()
     mesh = build_uniform_mesh(config.mesh_n)
@@ -211,45 +199,27 @@ def run_multimodes(
     snapshots: dict[int, np.ndarray] = {}
     snapshot_sizes = set(int(m) for m in phi0_snapshot_sizes)
 
-    from .space import _norm_forms
-
-    mass, stiff, jump, _ = _norm_forms(space, config.penalties)
+    mass, stiff, jump, _ = asm.norm_forms
     norm_forms = (mass, (stiff + jump).tocsr())
     t0 = time.perf_counter()
-
-    # Fixed block structure: results are independent of the thread count.
     block = 1 if refactor_each_solve else _BLOCK
-    blocks = [range(s, min(s + block, M)) for s in range(0, M, block)]
-
-    def work(js):
-        return _block_modes(
-            js, config, asm, factors, system, refactor_each_solve, norm_forms
+    for start in range(0, M, block):
+        js = range(start, min(start + block, M))
+        modes, norms = _block_modes(
+            js, config, asm, factors, system, refactor_each_solve, norm_forms, counters
         )
-
-    def reduce_block(js, modes, norms, worker_counters):
-        nonlocal sample_field
-        counters.merge(worker_counters)
         block_sums = modes.sum(axis=1)
-        phi_sums[:] += block_sums
+        phi_sums += block_sums
         for n in range(N):
-            psi_sum[:] += eps_pow[n] * block_sums[n]
-        norm_l2_sum[:] += norms[:, :, 0].sum(axis=0)
-        norm_h1_sum[:] += norms[:, :, 1].sum(axis=0)
-        if js.start == 0:
+            psi_sum += eps_pow[n] * block_sums[n]
+        norm_l2_sum += norms[:, :, 0].sum(axis=0)
+        norm_h1_sum += norms[:, :, 1].sum(axis=0)
+        if start == 0:
             sample_field = DGFunction(space, sum(eps_pow[n] * modes[n, 0] for n in range(N)))
         for m in snapshot_sizes:
-            if js.start < m <= js.stop:
-                prefix = modes[0][: m - js.start].sum(axis=0)
+            if start < m <= js.stop:
+                prefix = modes[0][: m - start].sum(axis=0)
                 snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
-
-    if threads <= 1:
-        for js in blocks:
-            modes, norms, wc = work(js)
-            reduce_block(js, modes, norms, wc)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for js, (modes, norms, wc) in zip(blocks, pool.map(work, blocks)):
-                reduce_block(js, modes, norms, wc)
     t_samples = time.perf_counter() - t0
 
     psi = DGFunction(space, psi_sum / M)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .mesh import TriMesh
 
-__all__ = ["NoiseSpec", "MediaSample", "sample_media", "alpha_at"]
+__all__ = ["NoiseSpec", "MediaSample", "sample_media"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -71,18 +71,3 @@ def sample_media(mesh: TriMesh, spec: NoiseSpec, index: int) -> MediaSample:
         bnd = gen.uniform(spec.low, spec.high, size=(nbe, nqe))
     return MediaSample(index, vol, bnd, spec)
 
-
-def alpha_at(media: MediaSample, epsilon: float, location) -> float:
-    """Refractive index 1 + epsilon*eta at one quadrature location.
-
-    `location` is ('element', e, q) for a volume point or
-    ('edge', b, q) for a boundary-edge point (b indexes boundary edges).
-    """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    kind, i, q = location
-    if kind == "element":
-        return 1.0 + epsilon * float(media.eta_volume[i, q])
-    if kind == "edge":
-        return 1.0 + epsilon * float(media.eta_boundary[i, q])
-    raise KeyError(f"unknown location kind {kind!r}")

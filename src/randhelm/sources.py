@@ -15,7 +15,7 @@ import numpy as np
 from .mesh import TriMesh
 from .randomness import MediaSample
 
-__all__ = ["SourceSpec", "eval_source", "source_volume"]
+__all__ = ["SourceSpec", "source_volume"]
 
 _RHO_GUARD = 1e-8
 
@@ -36,32 +36,6 @@ def _radial(rho, alpha, k):
     z = k * alpha
     # Removable singularity at the origin: sin(k*alpha*rho)/rho -> k*alpha.
     return np.where(rho < _RHO_GUARD, z, np.sin(z * rho) / np.maximum(rho, _RHO_GUARD))
-
-
-def eval_source(
-    spec: SourceSpec,
-    media: MediaSample | None,
-    epsilon: float,
-    k: float,
-    point,
-    location=None,
-) -> complex:
-    """Evaluate the source at one physical point.
-
-    `location` carries the point's quadrature key ('element'/'edge', i, q)
-    so that alpha can be looked up for the radial source; it may be None
-    for the constant source or when epsilon is zero.
-    """
-    if spec.kind == "constant":
-        return complex(spec.value)
-    x, y = point
-    rho = float(np.hypot(x, y))
-    alpha = 1.0
-    if epsilon > 0.0 and media is not None and location is not None:
-        from .randomness import alpha_at
-
-        alpha = alpha_at(media, epsilon, location)
-    return complex(_radial(np.asarray(rho), alpha, k))
 
 
 def source_volume(

@@ -9,7 +9,7 @@ cheap to evaluate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .mesh import TriMesh
 
-__all__ = ["DGSpace", "DGFunction", "broken_norms"]
+__all__ = ["DGSpace", "DGFunction"]
 
 
 def _poly_dx(c: np.ndarray) -> np.ndarray:
@@ -80,7 +80,6 @@ class DGSpace:
             mesh.n_elements, self.local_dim
         )
         self._tables = None
-        self._norm_forms: dict[tuple, tuple] = {}
 
     # -- reference-element evaluation ------------------------------------
 
@@ -237,96 +236,3 @@ class DGFunction:
             out[p] = self.evaluate(label, ref[None, :])[0]
         return out
 
-
-def _norm_forms(space: DGSpace, penalties) -> tuple:
-    """Real quadratic-form matrices (mass, stiffness, jump, boundary mass)."""
-    import scipy.sparse as sp
-
-    key = penalties.key()
-    cached = space._norm_forms.get(key)
-    if cached is not None:
-        return cached
-
-    mesh, t = space.mesh, space.tables
-    ld, r = space.local_dim, space.degree
-    mass_blocks = np.einsum("eq,qi,qj->eij", mesh.volume_weights, t.B, t.B)
-    stiff_blocks = np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, t.Gphys, t.Gphys)
-    rows = np.broadcast_to(space.dofs[:, :, None], mass_blocks.shape)
-    cols = np.broadcast_to(space.dofs[:, None, :], mass_blocks.shape)
-
-    def build(rr, cc, vv):
-        return sp.csr_matrix(
-            (vv.ravel(), (rr.ravel(), cc.ravel())), shape=(space.ndof, space.ndof)
-        )
-
-    mass = build(rows, cols, mass_blocks)
-    stiff = build(rows, cols, stiff_blocks)
-
-    ie = mesh.interior_edges
-    w = mesh.edge_weights[ie]
-    h_e = mesh.edge_length[ie]
-    sign = np.array([1.0, -1.0])
-    jump_v = np.concatenate(
-        [sign[s] * t.trace[ie, s] for s in (0, 1)], axis=2
-    )  # (nie, nqe, 2ld)
-    jump_t = np.concatenate([sign[s] * t.trace_dt[ie, s] for s in (0, 1)], axis=2)
-    blocks = np.einsum(
-        "e,eq,eqi,eqj->eij", penalties.gamma0 * r / h_e, w, jump_v, jump_v
-    )
-    blocks += np.einsum(
-        "e,eq,eqi,eqj->eij", penalties.beta1 * r / h_e, w, jump_t, jump_t
-    )
-    for j in range(1, r + 1):
-        jump_n = np.concatenate(
-            [sign[s] * t.trace_dn[j][ie, s] for s in (0, 1)], axis=2
-        )
-        blocks += np.einsum(
-            "e,eq,eqi,eqj->eij",
-            penalties.gamma_j(j) * (h_e / r) ** (2 * j - 1),
-            w,
-            jump_n,
-            jump_n,
-        )
-    dpair = np.concatenate(
-        [space.dofs[mesh.edge_elems[ie, 0]], space.dofs[mesh.edge_elems[ie, 1]]],
-        axis=1,
-    )
-    jrows = np.broadcast_to(dpair[:, :, None], blocks.shape)
-    jcols = np.broadcast_to(dpair[:, None, :], blocks.shape)
-    jump = build(jrows, jcols, blocks)
-
-    be = mesh.boundary_edges
-    btr = t.trace[be, 0]
-    bblocks = np.einsum("eq,eqi,eqj->eij", mesh.edge_weights[be], btr, btr)
-    bdofs = space.dofs[mesh.edge_elems[be, 0]]
-    brows = np.broadcast_to(bdofs[:, :, None], bblocks.shape)
-    bcols = np.broadcast_to(bdofs[:, None, :], bblocks.shape)
-    bmass = build(brows, bcols, bblocks)
-
-    forms = (mass, stiff, jump, bmass)
-    space._norm_forms[key] = forms
-    return forms
-
-
-def broken_norms(f: DGFunction, penalties) -> dict:
-    """L2, broken-H1 seminorm/norm, and boundary L2 norm of a DG function.
-
-    The full broken norm adds penalty-weighted jump terms across interior
-    edges: value jumps at gamma0*r/h_e, tangential-derivative jumps at
-    beta1*r/h_e, and j-th normal-derivative jumps at gamma_j*(h_e/r)^(2j-1).
-    """
-    penalties.validate(strict=True)
-    mass, stiff, jump, bmass = _norm_forms(f.space, penalties)
-    c = f.coefficients
-
-    def quad(mat):
-        return max(float(np.real(np.vdot(c, mat @ c))), 0.0)
-
-    l2 = np.sqrt(quad(mass))
-    semi_sq = quad(stiff)
-    return {
-        "l2": l2,
-        "seminorm_1h": np.sqrt(semi_sq),
-        "norm_1h": np.sqrt(semi_sq + quad(jump)),
-        "boundary_l2": np.sqrt(quad(bmass)),
-    }

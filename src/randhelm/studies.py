@@ -7,19 +7,18 @@ emitted config echo to bit-identical tables.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assembly import PenaltySet, get_assembler
 from .classical import compare_fields, run_classical
-from .linalg import SolverCounters, lu_factorize, lu_solve
+from .linalg import lu_factorize, lu_solve
 from .mesh import build_uniform_mesh
 from .multimodes import RunConfig, RunResult, run_multimodes
 from .randomness import NoiseSpec
 from .sources import SourceSpec, source_volume
-from .space import DGFunction, DGSpace, broken_norms
+from .space import DGFunction, DGSpace
 
 __all__ = [
     "StudySpec",
@@ -239,7 +238,7 @@ def run_manufactured_convergence(spec: StudySpec, theta: float = 0.3) -> list:
     return rows
 
 
-def run_m_scaling(spec: StudySpec, threads: int = 1) -> dict:
+def run_m_scaling(spec: StudySpec) -> dict:
     """Statistical-error decay of the mode-0 sample mean versus M.
 
     Runs one long chain of m_ref samples, snapshots the running mode-0
@@ -252,7 +251,7 @@ def run_m_scaling(spec: StudySpec, threads: int = 1) -> dict:
     if m_ref <= max(spec.m_values):
         raise ValueError("M_ref must exceed every M in the list")
     cfg = replace(spec.base, num_modes=1, num_samples=m_ref)
-    res = run_multimodes(cfg, threads=threads, phi0_snapshot_sizes=spec.m_values)
+    res = run_multimodes(cfg, phi0_snapshot_sizes=spec.m_values)
     phi_ref = res.phis[0]
     rows = []
     for m in spec.m_values:
@@ -337,7 +336,8 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
     """Run a config or study and write report, fields, sections, tables.
 
     Returns the list of files written.  Tables and field dumps are fully
-    deterministic; wall-clock timings appear only in report.txt.
+    deterministic; wall-clock timings appear only in report.txt.  `threads`
+    is accepted for compatibility and has no effect: runs are serial.
     """
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("fields", "sections", "tables"):
@@ -387,7 +387,7 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
                         f"warning: mesh condition k^3*h^2/r^2 = {_fmt(r['mesh_condition'])} at n={r['n']}"
                     )
         elif spec.kind == "m_scaling":
-            out = run_m_scaling(spec, threads=threads)
+            out = run_m_scaling(spec)
             _write_table(
                 path("tables", "m_scaling.csv"),
                 ["M", "err_l2"],
@@ -397,8 +397,8 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
         elif spec.kind == "modes_sweep":
             n_values = spec.n_values or tuple(range(1, spec.base.num_modes + 1))
             cfg = replace(spec.base, num_modes=max(n_values))
-            res = run_multimodes(cfg, threads=threads)
-            base = run_classical(cfg, threads=threads)
+            res = run_multimodes(cfg)
+            base = run_classical(cfg)
             rows = []
             for N in n_values:
                 cmp = compare_fields(res.psi_truncated(N), base.psi_tilde)
@@ -411,8 +411,8 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
             rows = []
             for eps in eps_values:
                 cfg = replace(spec.base, epsilon=eps, num_modes=max(n_values))
-                res = run_multimodes(cfg, threads=threads)
-                base = run_classical(cfg, threads=threads)
+                res = run_multimodes(cfg)
+                base = run_classical(cfg)
                 for N in n_values:
                     cmp = compare_fields(res.psi_truncated(N), base.psi_tilde)
                     rows.append((eps, N, cmp["abs_l2"], cmp["rel_l2"]))
@@ -423,7 +423,7 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
         cfg = config_or_spec
         write_config(config_to_dict(cfg), path("config.txt"))
         report_lines += [f"{k}={v}" for k, v in config_to_dict(cfg).items()]
-        res = run_multimodes(cfg, threads=threads)
+        res = run_multimodes(cfg)
         _append_run_report(report_lines, res)
         export_field(res.psi, path("fields", "psi.csv"))
         export_field(res.sample_field, path("fields", "sample.csv"))

@@ -7,9 +7,6 @@ from randhelm import (
     DGSpace,
     NoiseSpec,
     PenaltySet,
-    assemble_constant,
-    assemble_rhs,
-    assemble_variable,
     build_uniform_mesh,
     get_assembler,
     sample_media,
@@ -20,7 +17,7 @@ from randhelm import (
 def test_complex_symmetry(n, k):
     mesh = build_uniform_mesh(n)
     space = DGSpace(mesh, 1)
-    A = assemble_constant(mesh, space, k).matrix
+    A = get_assembler(space).constant(k).matrix
     gap = abs(A - A.T).max()
     assert gap <= 1e-12 * abs(A).max()
 
@@ -29,14 +26,14 @@ def test_quadratic_form_of_constant_one(mesh4, space4):
     # For v = 1: gradients and jumps vanish, so v' A v reduces to the
     # mass and impedance terms: -k^2 * |D| + i k * |bnd D| = -k^2 + 4ik.
     k = 3.0
-    A = assemble_constant(mesh4, space4, k).matrix
+    A = get_assembler(space4).constant(k).matrix
     v = np.ones(space4.ndof)
     val = np.vdot(v, A @ v)
     assert abs(val - (-k * k + 4j * k)) < 1e-10
 
 
 def test_imaginary_part_nonnegative(mesh4, space4, rng):
-    A = assemble_constant(mesh4, space4, 5.0).matrix
+    A = get_assembler(space4).constant(5.0).matrix
     for _ in range(50):
         v = rng.standard_normal(space4.ndof) + 1j * rng.standard_normal(space4.ndof)
         q = np.vdot(v, A @ v)
@@ -46,41 +43,35 @@ def test_imaginary_part_nonnegative(mesh4, space4, rng):
 def test_variable_with_zero_noise_equals_constant(mesh4, space4):
     media = sample_media(mesh4, NoiseSpec(low=0.0, high=0.0), 0)
     pen = PenaltySet()
-    Ac = assemble_constant(mesh4, space4, 5.0, pen).matrix
-    Av = assemble_variable(mesh4, space4, 5.0, pen, media, 0.3).matrix
+    Ac = get_assembler(space4, pen).constant(5.0).matrix
+    Av = get_assembler(space4, pen).variable(5.0, media, 0.3).matrix
     assert abs(Av - Ac).max() < 1e-14 * abs(Ac).max()
 
 
 def test_variable_epsilon_validation(mesh4, space4, penalties):
     media = sample_media(mesh4, NoiseSpec(), 0)
     with pytest.raises(ValueError):
-        assemble_variable(mesh4, space4, 5.0, penalties, media, 1.0)
+        get_assembler(space4, penalties).variable(5.0, media, 1.0)
     with pytest.raises(ValueError):
-        assemble_variable(mesh4, space4, 5.0, penalties, media, -0.1)
+        get_assembler(space4, penalties).variable(5.0, media, -0.1)
 
 
 def test_wavenumber_validation(mesh4, space4):
     with pytest.raises(ValueError):
-        assemble_constant(mesh4, space4, 0.0)
+        get_assembler(space4).constant(0.0)
 
 
 def test_media_layout_mismatch_rejected(mesh4, space4, penalties):
     other = build_uniform_mesh(3)
     media = sample_media(other, NoiseSpec(), 0)
     with pytest.raises(ValueError):
-        assemble_variable(mesh4, space4, 5.0, penalties, media, 0.1)
-
-
-def test_mesh_space_pairing_checked(mesh4, penalties):
-    other_space = DGSpace(build_uniform_mesh(3), 1)
-    with pytest.raises(ValueError):
-        assemble_constant(mesh4, other_space, 5.0, penalties)
+        get_assembler(space4, penalties).variable(5.0, media, 0.1)
 
 
 def test_rhs_constant_source(mesh4, space4):
     # int_T lambda_i = area / 3 for every P1 hat function.
     S = np.ones(mesh4.volume_weights.shape)
-    b = assemble_rhs(mesh4, space4, S)
+    b = get_assembler(space4).rhs(S)
     expected = np.repeat(mesh4.areas / 3.0, space4.local_dim)
     assert np.allclose(b, expected, atol=1e-14)
     assert abs(b.sum() - 1.0) < 1e-13
@@ -89,17 +80,17 @@ def test_rhs_constant_source(mesh4, space4):
 def test_rhs_boundary_term(mesh4, space4):
     S = np.zeros(mesh4.volume_weights.shape)
     Q = np.ones((mesh4.boundary_edges.size, mesh4.ref_edge_points.size))
-    b = assemble_rhs(mesh4, space4, S, Q)
+    b = get_assembler(space4).rhs(S, Q)
     # Partition of unity: the entries sum to the boundary integral of Q.
     assert abs(b.sum() - 4.0) < 1e-12
 
 
 def test_rhs_shape_validation(mesh4, space4):
     with pytest.raises(ValueError):
-        assemble_rhs(mesh4, space4, np.zeros((3, 3)))
+        get_assembler(space4).rhs(np.zeros((3, 3)))
     S = np.zeros(mesh4.volume_weights.shape)
     with pytest.raises(ValueError):
-        assemble_rhs(mesh4, space4, S, np.zeros((2, 2)))
+        get_assembler(space4).rhs(S, np.zeros((2, 2)))
 
 
 def test_value_jump_penalty_block(mesh4, space4):
@@ -108,8 +99,8 @@ def test_value_jump_penalty_block(mesh4, space4):
     # the difference is i * d_gamma0 / h_e * sum_edges h_e = 2i.
     pen1 = PenaltySet(gamma0=1.0, gamma_higher=(0.0,), beta1=0.0)
     pen2 = PenaltySet(gamma0=2.0, gamma_higher=(0.0,), beta1=0.0)
-    A1 = assemble_constant(mesh4, space4, 5.0, pen1).matrix
-    A2 = assemble_constant(mesh4, space4, 5.0, pen2).matrix
+    A1 = get_assembler(space4, pen1).constant(5.0).matrix
+    A2 = get_assembler(space4, pen2).constant(5.0).matrix
     v = np.zeros(space4.ndof)
     v[space4.dofs[0]] = 1.0
     val = np.vdot(v, (A2 - A1) @ v)
@@ -172,7 +163,7 @@ def test_block_operators_match_quadrature_loads(degree, rng):
 
 
 def test_export_coordinate(tmp_path, mesh4, space4):
-    system = assemble_constant(mesh4, space4, 5.0)
+    system = get_assembler(space4).constant(5.0)
     path = os.path.join(tmp_path, "matrix.txt")
     system.export_coordinate(path)
     with open(path) as fh:

@@ -14,7 +14,6 @@ from randhelm import (
     lu_solve,
     mode_rhs_update,
     run_multimodes,
-    sample_average,
     sample_media,
     source_volume,
 )
@@ -169,19 +168,6 @@ def test_phi0_snapshots_match_shorter_runs():
         )
 
 
-def test_sample_average():
-    mesh = build_uniform_mesh(2)
-    space = DGSpace(mesh, 1)
-    fs = [DGFunction(space, np.full(space.ndof, v)) for v in (1.0, 2.0, 6.0)]
-    avg = sample_average(fs)
-    assert np.allclose(avg.coefficients, 3.0)
-    with pytest.raises(ValueError):
-        sample_average([])
-    other = DGFunction.zero(DGSpace(build_uniform_mesh(2), 1))
-    with pytest.raises(ValueError):
-        sample_average([fs[0], other])
-
-
 def test_mode_rhs_update_formula():
     mesh = build_uniform_mesh(4)
     space = DGSpace(mesh, 1)
@@ -216,3 +202,9 @@ def test_config_validation():
         RunConfig(mesh_n=0)
     with pytest.raises(ValueError):
         RunConfig(c0_hint=0.0)
+    # Non-finite values fail here, not later as a singular matrix.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(k=bad)
+        with pytest.raises(ValueError):
+            RunConfig(c0_hint=bad)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randhelm import NoiseSpec, alpha_at, build_uniform_mesh, sample_media
+from randhelm import NoiseSpec, build_uniform_mesh, sample_media
 
 
 def test_same_key_reproduces_sample(mesh4):
@@ -56,22 +56,6 @@ def test_validation():
     mesh = build_uniform_mesh(2)
     with pytest.raises(ValueError):
         sample_media(mesh, NoiseSpec(), -1)
-
-
-def test_alpha_at(mesh4):
-    media = sample_media(mesh4, NoiseSpec(seed=5), 0)
-    eps = 0.2
-    assert alpha_at(media, eps, ("element", 3, 1)) == pytest.approx(
-        1.0 + eps * media.eta_volume[3, 1]
-    )
-    assert alpha_at(media, eps, ("edge", 2, 0)) == pytest.approx(
-        1.0 + eps * media.eta_boundary[2, 0]
-    )
-    assert alpha_at(media, 0.0, ("element", 0, 0)) == 1.0
-    with pytest.raises(KeyError):
-        alpha_at(media, eps, ("vertex", 0, 0))
-    with pytest.raises(ValueError):
-        alpha_at(media, -0.1, ("element", 0, 0))
 
 
 @settings(max_examples=20, deadline=None)

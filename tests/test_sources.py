@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from randhelm import NoiseSpec, SourceSpec, eval_source, sample_media, source_volume
+from randhelm import NoiseSpec, SourceSpec, sample_media, source_volume
+from randhelm.sources import _radial
 
 
 def test_constant_source(mesh4):
@@ -9,7 +10,6 @@ def test_constant_source(mesh4):
     S = source_volume(spec, mesh4, None, 0.0, 5.0)
     assert S.shape == mesh4.volume_weights.shape
     assert np.all(S == 2.5)
-    assert eval_source(spec, None, 0.0, 5.0, (0.1, 0.2)) == 2.5
 
 
 def test_radial_source_values(mesh4):
@@ -22,12 +22,10 @@ def test_radial_source_values(mesh4):
 
 
 def test_radial_source_origin_limit():
-    spec = SourceSpec(kind="radial_wave")
     k = 50.0
     # sin(k * rho) / rho -> k as rho -> 0.
-    assert eval_source(spec, None, 0.0, k, (0.0, 0.0)) == pytest.approx(k)
-    near = eval_source(spec, None, 0.0, k, (1e-12, 0.0))
-    assert near == pytest.approx(k)
+    assert _radial(np.asarray(0.0), 1.0, k) == pytest.approx(k)
+    assert _radial(np.asarray(1e-12), 1.0, k) == pytest.approx(k)
 
 
 def test_radial_source_depends_on_medium(mesh4):
@@ -41,17 +39,6 @@ def test_radial_source_depends_on_medium(mesh4):
     # With epsilon = 0 the medium is ignored.
     S0 = source_volume(spec, mesh4, media, 0.0, k)
     assert np.allclose(S0, np.sin(k * rho) / rho, atol=1e-12)
-
-
-def test_eval_source_with_medium_lookup(mesh4):
-    spec = SourceSpec(kind="radial_wave")
-    media = sample_media(mesh4, NoiseSpec(seed=1), 0)
-    k, eps = 20.0, 0.5
-    e, q = 3, 2
-    x, y = mesh4.volume_points[e, q]
-    val = eval_source(spec, media, eps, k, (x, y), location=("element", e, q))
-    S = source_volume(spec, mesh4, media, eps, k)
-    assert val == pytest.approx(S[e, q])
 
 
 def test_source_validation():

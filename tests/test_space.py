@@ -106,18 +106,24 @@ def test_broken_norms_of_constant_one(space4, penalties):
     assert abs(norms["boundary_l2"] - 2.0) < 1e-12
 
 
-def test_broken_norms_of_element_indicator(space4, penalties):
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_broken_norms_of_element_indicator(mesh4, penalties, r):
     # f = 1 on element 0 and 0 elsewhere.  Element 0 (lower-left corner,
     # lower triangle) touches 2 interior edges; each contributes
-    # gamma0 * r / h_e * h_e = gamma0 to the squared jump term.
-    coeffs = np.zeros(space4.ndof)
-    coeffs[space4.dofs[0]] = 1.0
-    f = DGFunction(space4, coeffs)
+    # gamma0 * r / h_e * h_e = r * gamma0 to the squared jump term.  The
+    # operator's penalty weighs value jumps at gamma0 / h_e instead.
+    space = DGSpace(mesh4, r)
+    coeffs = np.zeros(space.ndof)
+    coeffs[space.dofs[0]] = 1.0
+    f = DGFunction(space, coeffs)
     norms = broken_norms(f, penalties)
-    area = space4.mesh.areas[0]
+    area = mesh4.areas[0]
     assert abs(norms["l2"] - np.sqrt(area)) < 1e-12
-    assert norms["seminorm_1h"] < 1e-12
-    assert abs(norms["norm_1h"] - np.sqrt(2.0 * penalties.gamma0)) < 1e-12
+    # A constant has no gradient; for r > 1 the stiffness form cancels only
+    # to rounding, which the square root lifts to about 3e-8.
+    assert norms["seminorm_1h"] < (1e-12 if r == 1 else 1e-7)
+    # norm_1h**2 = 2 * r * gamma0: 20, 40 and 60 for the default gamma0.
+    assert abs(norms["norm_1h"] - np.sqrt(2.0 * r * penalties.gamma0)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
