@@ -75,14 +75,6 @@ class SystemMatrix:
     def ndof(self) -> int:
         return self.matrix.shape[0]
 
-    def export_coordinate(self, path) -> None:
-        """Write the matrix in `row col re im` coordinate text format."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# {self.ndof} {self.ndof} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
 
 class Assembler:
     """Precomputed assembly kernel for one (space, penalties) pair.

@@ -60,7 +60,10 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
         system = asm.variable(config.k, media, config.epsilon)
         b = asm.rhs(source_volume(config.source, mesh, media, config.epsilon, config.k))
         t_assembly += time.perf_counter() - t_a
-        psi_sum += lu_solve(lu_factorize(system, counters), b, counters)
+        x = lu_solve(lu_factorize(system, counters), b, counters)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError(f"nonfinite values in the solution of sample {j}")
+        psi_sum += x
         fingerprints.append(media.fingerprint())
     t_samples = time.perf_counter() - t0
 

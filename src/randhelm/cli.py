@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: mesh-info, solve-det, run-modes, run-classical, compare,
-study.  All numeric output uses 17 significant digits.  Runs are serial;
+study.  All numeric output uses 17 significant digits; files are written
+by the output functions of `studies`.  Runs are serial;
 --threads is accepted for compatibility and has no effect.
 """
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .mesh import build_uniform_mesh
 from .multimodes import run_multimodes
 from .studies import (
     StudySpec,
+    _fmt,
+    _result_lines,
+    _write_table,
     config_from_dict,
     config_to_dict,
     export_cross_section,
@@ -25,9 +29,8 @@ from .studies import (
     run_full,
     solve_deterministic,
     write_config,
+    write_report,
 )
-
-_FMT = "%.17g"
 
 
 def _load_config(path):
@@ -44,14 +47,8 @@ def _cmd_mesh_info(args) -> int:
     print(f"boundary_edges={mesh.boundary_edges.size}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "vertices.csv"), "w") as fh:
-            fh.write("x,y\n")
-            for x, y in mesh.vertices:
-                fh.write(f"{_FMT % x},{_FMT % y}\n")
-        with open(os.path.join(args.out, "elements.csv"), "w") as fh:
-            fh.write("v0,v1,v2\n")
-            for tri in mesh.elements:
-                fh.write(",".join(str(v) for v in tri) + "\n")
+        _write_table(os.path.join(args.out, "vertices.csv"), ["x", "y"], mesh.vertices)
+        _write_table(os.path.join(args.out, "elements.csv"), ["v0", "v1", "v2"], mesh.elements)
     return 0
 
 
@@ -64,7 +61,7 @@ def _cmd_solve_det(args) -> int:
         export_cross_section(u, path=os.path.join(args.out, "diagonal.csv"))
         write_config(config_to_dict(cfg), os.path.join(args.out, "config.txt"))
     print(f"ndof={u.space.ndof}")
-    print(f"max_abs={_FMT % np.abs(u.coefficients).max()}")
+    print(f"max_abs={_fmt(np.abs(u.coefficients).max())}")
     return 0
 
 
@@ -81,14 +78,8 @@ def _cmd_run_classical(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     export_field(res.psi_tilde, os.path.join(args.out, "psi_classical.csv"))
     echo = config_to_dict(cfg)
-    echo["method"] = "classical"
     write_config(echo, os.path.join(args.out, "config.txt"))
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write("method=classical\n")
-        fh.write(f"factorizations={res.counters.factorizations}\n")
-        fh.write(f"solves={res.counters.solves}\n")
-        for key, val in res.timings.items():
-            fh.write(f"{key}={_FMT % val}\n")
+    write_report(os.path.join(args.out, "report.txt"), echo, _result_lines(res))
     print(f"wrote {args.out}")
     return 0
 
@@ -98,22 +89,16 @@ def _cmd_compare(args) -> int:
     modes = run_multimodes(cfg)
     base = run_classical(cfg)
     cmp = compare_fields(modes.psi, base.psi_tilde)
-    print(f"abs_l2={_FMT % cmp['abs_l2']}")
-    print(f"rel_l2={_FMT % cmp['rel_l2']}")
+    for key, val in cmp.items():
+        print(f"{key}={_fmt(val)}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "compare.csv"), "w") as fh:
-            fh.write("abs_l2,rel_l2\n")
-            fh.write(f"{_FMT % cmp['abs_l2']},{_FMT % cmp['rel_l2']}\n")
+        _write_table(os.path.join(args.out, "compare.csv"), list(cmp), [cmp.values()])
     return 0
 
 
 def _cmd_study(args) -> int:
-    d = parse_config(args.config)
-    if "study" not in d:
-        raise ValueError("study config must contain a 'study' key")
-    spec = StudySpec.from_dict(d)
-    run_full(spec, args.out)
+    run_full(StudySpec.from_dict(parse_config(args.config)), args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -43,12 +43,6 @@ class SolverCounters:
     factorize_seconds: float = 0.0
     solve_seconds: float = 0.0
 
-    def merge(self, other: "SolverCounters") -> None:
-        self.factorizations += other.factorizations
-        self.solves += other.solves
-        self.factorize_seconds += other.factorize_seconds
-        self.solve_seconds += other.solve_seconds
-
 
 @dataclass
 class LUFactors:

@@ -2,12 +2,14 @@
 
 Configs are flat key=value text files.  Every floating-point value is
 printed with 17 significant digits so any study can be re-run from its
-emitted config echo to bit-identical tables.
+emitted config echo to bit-identical tables.  Every CSV goes through
+`_write_table` and every report through `write_report`.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -16,14 +18,14 @@ from .classical import compare_fields, run_classical
 from .linalg import lu_factorize, lu_solve
 from .mesh import build_uniform_mesh
 from .multimodes import RunConfig, RunResult, run_multimodes
-from .randomness import NoiseSpec
-from .sources import SourceSpec, source_volume
+from .sources import source_volume
 from .space import DGFunction, DGSpace
 
 __all__ = [
     "StudySpec",
     "parse_config",
     "write_config",
+    "write_report",
     "config_from_dict",
     "config_to_dict",
     "solve_deterministic",
@@ -34,83 +36,106 @@ __all__ = [
     "run_full",
 ]
 
-_FMT = "%.17g"
+
+def _fmt(v) -> str:
+    """Text form of one output value: integers and strings as they are,
+    tuples as comma lists, every other number with 17 significant digits."""
+    if isinstance(v, tuple):
+        return ",".join(_fmt(x) for x in v)
+    if isinstance(v, (int, np.integer, str)):
+        return str(v)
+    return "%.17g" % float(v)
 
 
-def _fmt(x) -> str:
-    return _FMT % float(x)
+def _split(text: str, kind) -> tuple:
+    """Parse a comma list; an empty value is the empty tuple."""
+    return tuple(kind(v) for v in text.split(",")) if text else ()
 
 
 # -- configuration -----------------------------------------------------
 
+# Config key -> RunConfig field, or (field, subfield) of a nested spec.
+# A value is parsed to the type of the field's default; the one tuple
+# field, gamma_higher, is a comma list of floats.
+_CONFIG_KEYS = {
+    "k": ("k",),
+    "epsilon": ("epsilon",),
+    "N": ("num_modes",),
+    "M": ("num_samples",),
+    "n": ("mesh_n",),
+    "r": ("degree",),
+    "gamma0": ("penalties", "gamma0"),
+    "gamma_higher": ("penalties", "gamma_higher"),
+    "beta1": ("penalties", "beta1"),
+    "seed": ("noise", "seed"),
+    "eta_min": ("noise", "low"),
+    "eta_max": ("noise", "high"),
+    "source": ("source", "kind"),
+    "source_value": ("source", "value"),
+    "C0_hint": ("c0_hint",),
+}
+
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "k": _fmt(cfg.k),
-        "epsilon": _fmt(cfg.epsilon),
-        "N": str(cfg.num_modes),
-        "M": str(cfg.num_samples),
-        "n": str(cfg.mesh_n),
-        "r": str(cfg.degree),
-        "gamma0": _fmt(cfg.penalties.gamma0),
-        "gamma1": _fmt(cfg.penalties.gamma_j(1)),
-        "beta1": _fmt(cfg.penalties.beta1),
-        "seed": str(cfg.noise.seed),
-        "eta_min": _fmt(cfg.noise.low),
-        "eta_max": _fmt(cfg.noise.high),
-        "source": cfg.source.kind,
-        "source_value": _fmt(cfg.source.value),
-        "C0_hint": _fmt(cfg.c0_hint),
-    }
+    """Every field of `cfg` as text; `config_from_dict` inverts it exactly."""
+    return {key: _fmt(reduce(getattr, path, cfg)) for key, path in _CONFIG_KEYS.items()}
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    pen = PenaltySet(
-        gamma0=float(d.get("gamma0", 10.0)),
-        gamma_higher=(float(d.get("gamma1", 0.1)),),
-        beta1=float(d.get("beta1", 0.1)),
-    )
-    noise = NoiseSpec(
-        low=float(d.get("eta_min", -1.0)),
-        high=float(d.get("eta_max", 1.0)),
-        seed=int(d.get("seed", 0)),
-    )
-    source = SourceSpec(
-        kind=d.get("source", "constant"), value=float(d.get("source_value", 1.0))
-    )
-    return RunConfig(
-        k=float(d.get("k", 5.0)),
-        epsilon=float(d.get("epsilon", 0.1)),
-        num_modes=int(d.get("N", 3)),
-        num_samples=int(d.get("M", 100)),
-        mesh_n=int(d.get("n", 20)),
-        degree=int(d.get("r", 1)),
-        penalties=pen,
-        noise=noise,
-        source=source,
-        c0_hint=float(d.get("C0_hint", 1.0)),
-    )
+    """Build a RunConfig from config text; absent keys keep their defaults."""
+    unknown = [key for key in d if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    default = RunConfig()
+    top, nested = {}, {}
+    for key, path in _CONFIG_KEYS.items():
+        if key in d:
+            like = reduce(getattr, path, default)
+            value = _split(d[key], float) if isinstance(like, tuple) else type(like)(d[key])
+            if len(path) == 1:
+                top[path[0]] = value
+            else:
+                nested.setdefault(path[0], {})[path[1]] = value
+    for name, changes in nested.items():
+        top[name] = replace(getattr(default, name), **changes)
+    return replace(default, **top)
 
 
 def parse_config(path) -> dict:
-    """Read a flat key=value file; '#' starts a comment."""
+    """Read a flat key=value file; '#' starts a comment.  A malformed line
+    or a repeated key is an error naming its line."""
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+                raise ValueError(f"{path}, line {lineno}: malformed config line {line!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}, line {lineno}: repeated config key {key!r}")
+            out[key] = val
     return out
 
 
-def write_config(d: dict, path) -> None:
+def _write_lines(path, lines) -> None:
     with open(path, "w") as fh:
-        for key, val in d.items():
-            fh.write(f"{key}={val}\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_config(d: dict, path) -> None:
+    _write_lines(path, (f"{key}={val}" for key, val in d.items()))
+
+
+# Study key -> (StudySpec field, parser).
+_STUDY_KEYS = {
+    "mesh_sizes": ("mesh_sizes", lambda s: _split(s, int)),
+    "M_values": ("m_values", lambda s: _split(s, int)),
+    "N_values": ("n_values", lambda s: _split(s, int)),
+    "eps_values": ("eps_values", lambda s: _split(s, float)),
+    "M_ref": ("m_ref", int),
+}
 
 
 @dataclass(frozen=True)
@@ -124,7 +149,6 @@ class StudySpec:
     n_values: tuple = ()
     eps_values: tuple = ()
     m_ref: int | None = None
-    section_samples: int = 201
 
     _KINDS = ("manufactured_convergence", "m_scaling", "modes_sweep", "epsilon_sweep", "compare")
 
@@ -138,21 +162,22 @@ class StudySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudySpec":
-        def ints(key):
-            return tuple(int(v) for v in d[key].split(",")) if key in d else ()
+        """The `study` key, the sweep keys, and run keys for the base config."""
+        if "study" not in d:
+            raise ValueError("study config must contain a 'study' key")
+        sweep = {name: parse(d[key]) for key, (name, parse) in _STUDY_KEYS.items() if key in d}
+        run = {key: val for key, val in d.items() if key != "study" and key not in _STUDY_KEYS}
+        return cls(kind=d["study"], base=config_from_dict(run), **sweep)
 
-        def floats(key):
-            return tuple(float(v) for v in d[key].split(",")) if key in d else ()
-
-        return cls(
-            kind=d["study"],
-            base=config_from_dict(d),
-            mesh_sizes=ints("mesh_sizes"),
-            m_values=ints("M_values"),
-            n_values=ints("N_values"),
-            eps_values=floats("eps_values"),
-            m_ref=int(d["M_ref"]) if "M_ref" in d else None,
-        )
+    def to_dict(self) -> dict:
+        """The inverse of `from_dict`; empty sweep lists are left out."""
+        d = config_to_dict(self.base)
+        d["study"] = self.kind
+        for key, (name, _) in _STUDY_KEYS.items():
+            value = getattr(self, name)
+            if value not in ((), None):
+                d[key] = _fmt(value)
+        return d
 
 
 # -- deterministic solves and convergence ------------------------------
@@ -243,7 +268,8 @@ def run_m_scaling(spec: StudySpec) -> dict:
 
     Runs one long chain of m_ref samples, snapshots the running mode-0
     mean at each requested M, and fits the log-log slope of
-    ||Phi_0(M) - Phi_0(m_ref)||_L2 (target -1/2).
+    ||Phi_0(M) - Phi_0(m_ref)||_L2 (target -1/2).  The chain's RunResult
+    is returned as "result".
     """
     if not spec.m_values:
         raise ValueError("m_values must be nonempty")
@@ -264,10 +290,15 @@ def run_m_scaling(spec: StudySpec) -> dict:
         )
     else:
         slope = 0.0
-    return {"rows": rows, "slope": slope, "m_ref": m_ref}
+    return {"rows": rows, "slope": slope, "m_ref": m_ref, "result": res}
 
 
 # -- exports -----------------------------------------------------------
+
+
+def _write_table(path, header, rows) -> None:
+    """Write one CSV: a header line, then one line of `_fmt` values per row."""
+    _write_lines(path, [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)])
 
 
 def export_cross_section(f: DGFunction, samples: int = 201, path=None):
@@ -286,10 +317,7 @@ def export_cross_section(f: DGFunction, samples: int = 201, path=None):
         for i in range(samples)
     ]
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write("t,x,y,re,im,abs\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_table(path, ["t", "x", "y", "re", "im", "abs"], rows)
     return rows
 
 
@@ -298,38 +326,69 @@ def export_field(f: DGFunction, path) -> None:
     neighboring elements are intentional: the field is discontinuous)."""
     mesh = f.space.mesh
     ref_vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with open(path, "w") as fh:
-        fh.write("x,y,element,re,im,abs\n")
+
+    def rows():
         for e in range(mesh.n_elements):
             vals = f.evaluate(e, ref_vertices)
-            coords = mesh.element_vertices(e)
-            for v in range(3):
-                fh.write(
-                    ",".join(
-                        [
-                            _fmt(coords[v, 0]),
-                            _fmt(coords[v, 1]),
-                            str(e),
-                            _fmt(vals[v].real),
-                            _fmt(vals[v].imag),
-                            _fmt(abs(vals[v])),
-                        ]
-                    )
-                    + "\n"
-                )
+            for (x, y), u in zip(mesh.element_vertices(e), vals):
+                yield x, y, e, u.real, u.imag, abs(u)
+
+    _write_table(path, ["x", "y", "element", "re", "im", "abs"], rows())
 
 
-def _write_table(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            out = []
-            for v in row:
-                out.append(str(v) if isinstance(v, (int, np.integer, str)) else _fmt(v))
-            fh.write(",".join(out) + "\n")
+def _resolution_warning(k: float, n: int, r: int) -> list:
+    """A warning line when k^3*h^2/r^2 > 10, where pollution sets in."""
+    condition = k**3 / (n * n * r**2)
+    if condition <= 10.0:
+        return []
+    return [f"warning: mesh condition k^3*h^2/r^2 = {_fmt(condition)} at n={n}"]
+
+
+def _result_lines(res) -> list:
+    """Report lines of one run of either driver (RunResult or BaselineResult)."""
+    multi = isinstance(res, RunResult)
+    lines = [f"method={'multimodes' if multi else 'classical'}"]
+    if multi:
+        lines.append(f"sigma_hat={_fmt(res.sigma_hat)}")
+        for n in range(len(res.mode_l2)):
+            lines.append(f"mode_l2[{n}]={_fmt(res.mode_l2[n])}")
+            lines.append(f"mode_norm_1h[{n}]={_fmt(res.mode_h1[n])}")
+        lines += [f"rho[{n}]={_fmt(r)}" for n, r in enumerate(res.rho, start=1)]
+    c = res.counters
+    lines += [f"factorizations={c.factorizations}", f"solves={c.solves}"]
+    lines += [f"{key}={_fmt(val)}" for key, val in res.timings.items()]
+    lines.append(f"factorize_seconds_total={_fmt(c.factorize_seconds)}")
+    lines.append(f"solve_seconds_total={_fmt(c.solve_seconds)}")
+    cfg = res.config
+    return lines + _resolution_warning(cfg.k, cfg.mesh_n, cfg.degree)
+
+
+def write_report(path, echo: dict, lines) -> None:
+    """Write report.txt: the config echo, then `lines` (study results and
+    the `_result_lines` of each driver run).  Wall-clock timings appear
+    only here."""
+    _write_lines(path, [*(f"{key}={val}" for key, val in echo.items()), *lines])
 
 
 # -- the full pipeline -------------------------------------------------
+
+
+def _compare_sweep(base: RunConfig, eps_values, n_values, report: list) -> list:
+    """Multi-modes against classical at each epsilon, truncated at each N.
+
+    Returns rows (epsilon, N, abs_l2, rel_l2) and appends the report lines
+    of both driver runs of every epsilon to `report`.
+    """
+    rows = []
+    for eps in eps_values:
+        cfg = replace(base, epsilon=eps, num_modes=max(n_values))
+        res = run_multimodes(cfg)
+        ref = run_classical(cfg)
+        report += _result_lines(res) + _result_lines(ref)
+        for N in n_values:
+            cmp = compare_fields(res.psi_truncated(N), ref.psi_tilde)
+            rows.append((eps, N, cmp["abs_l2"], cmp["rel_l2"]))
+    return rows
 
 
 def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
@@ -339,7 +398,6 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
     deterministic; wall-clock timings appear only in report.txt.  `threads`
     is accepted for compatibility and has no effect: runs are serial.
     """
-    os.makedirs(out_dir, exist_ok=True)
     for sub in ("fields", "sections", "tables"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     written = []
@@ -349,82 +407,15 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
         written.append(p)
         return p
 
-    report_lines = []
+    spec = config_or_spec if isinstance(config_or_spec, StudySpec) else None
+    echo = spec.to_dict() if spec else config_to_dict(config_or_spec)
+    write_config(echo, path("config.txt"))
+    report = []
 
-    if isinstance(config_or_spec, StudySpec):
-        spec = config_or_spec
-        echo = config_to_dict(spec.base)
-        echo["study"] = spec.kind
-        for key, attr in (
-            ("mesh_sizes", "mesh_sizes"),
-            ("M_values", "m_values"),
-            ("N_values", "n_values"),
-            ("eps_values", "eps_values"),
-        ):
-            vals = getattr(spec, attr)
-            if vals:
-                echo[key] = ",".join(
-                    str(v) if isinstance(v, int) else _fmt(v) for v in vals
-                )
-        if spec.m_ref:
-            echo["M_ref"] = str(spec.m_ref)
-        write_config(echo, path("config.txt"))
-        report_lines += [f"{k}={v}" for k, v in echo.items()]
-
-        if spec.kind == "manufactured_convergence":
-            rows = run_manufactured_convergence(spec)
-            _write_table(
-                path("tables", "convergence.csv"),
-                ["n", "h", "err_l2", "err_h1", "rel_l2", "rate_l2", "rate_h1"],
-                [
-                    (r["n"], r["h"], r["err_l2"], r["err_h1"], r["rel_l2"], r["rate_l2"], r["rate_h1"])
-                    for r in rows
-                ],
-            )
-            for r in rows:
-                if r["mesh_condition"] > 10.0:
-                    report_lines.append(
-                        f"warning: mesh condition k^3*h^2/r^2 = {_fmt(r['mesh_condition'])} at n={r['n']}"
-                    )
-        elif spec.kind == "m_scaling":
-            out = run_m_scaling(spec)
-            _write_table(
-                path("tables", "m_scaling.csv"),
-                ["M", "err_l2"],
-                [(r["M"], r["err_l2"]) for r in out["rows"]],
-            )
-            report_lines.append(f"m_scaling_slope={_fmt(out['slope'])}")
-        elif spec.kind == "modes_sweep":
-            n_values = spec.n_values or tuple(range(1, spec.base.num_modes + 1))
-            cfg = replace(spec.base, num_modes=max(n_values))
-            res = run_multimodes(cfg)
-            base = run_classical(cfg)
-            rows = []
-            for N in n_values:
-                cmp = compare_fields(res.psi_truncated(N), base.psi_tilde)
-                rows.append((N, cmp["abs_l2"], cmp["rel_l2"]))
-            _write_table(path("tables", "modes_sweep.csv"), ["N", "abs_l2", "rel_l2"], rows)
-            _append_run_report(report_lines, res)
-        elif spec.kind in ("epsilon_sweep", "compare"):
-            eps_values = spec.eps_values or (spec.base.epsilon,)
-            n_values = spec.n_values or (spec.base.num_modes,)
-            rows = []
-            for eps in eps_values:
-                cfg = replace(spec.base, epsilon=eps, num_modes=max(n_values))
-                res = run_multimodes(cfg)
-                base = run_classical(cfg)
-                for N in n_values:
-                    cmp = compare_fields(res.psi_truncated(N), base.psi_tilde)
-                    rows.append((eps, N, cmp["abs_l2"], cmp["rel_l2"]))
-            _write_table(
-                path("tables", "compare.csv"), ["epsilon", "N", "abs_l2", "rel_l2"], rows
-            )
-    else:
+    if spec is None:
         cfg = config_or_spec
-        write_config(config_to_dict(cfg), path("config.txt"))
-        report_lines += [f"{k}={v}" for k, v in config_to_dict(cfg).items()]
         res = run_multimodes(cfg)
-        _append_run_report(report_lines, res)
+        report += _result_lines(res)
         export_field(res.psi, path("fields", "psi.csv"))
         export_field(res.sample_field, path("fields", "sample.csv"))
         export_cross_section(res.psi, path=path("sections", "psi_diagonal.csv"))
@@ -437,23 +428,37 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
                 for n in range(cfg.num_modes)
             ],
         )
+    elif spec.kind == "manufactured_convergence":
+        rows = run_manufactured_convergence(spec)
+        keys = ["n", "h", "err_l2", "err_h1", "rel_l2", "rate_l2", "rate_h1"]
+        _write_table(
+            path("tables", "convergence.csv"), keys, [[r[key] for key in keys] for r in rows]
+        )
+        for r in rows:
+            report += _resolution_warning(spec.base.k, r["n"], spec.base.degree)
+    elif spec.kind == "m_scaling":
+        out = run_m_scaling(spec)
+        _write_table(
+            path("tables", "m_scaling.csv"),
+            ["M", "err_l2"],
+            [(r["M"], r["err_l2"]) for r in out["rows"]],
+        )
+        report.append(f"m_scaling_slope={_fmt(out['slope'])}")
+        report += _result_lines(out["result"])
+    elif spec.kind == "modes_sweep":
+        n_values = spec.n_values or tuple(range(1, spec.base.num_modes + 1))
+        rows = _compare_sweep(spec.base, (spec.base.epsilon,), n_values, report)
+        _write_table(
+            path("tables", "modes_sweep.csv"), ["N", "abs_l2", "rel_l2"], [r[1:] for r in rows]
+        )
+    else:  # epsilon_sweep, compare
+        rows = _compare_sweep(
+            spec.base,
+            spec.eps_values or (spec.base.epsilon,),
+            spec.n_values or (spec.base.num_modes,),
+            report,
+        )
+        _write_table(path("tables", "compare.csv"), ["epsilon", "N", "abs_l2", "rel_l2"], rows)
 
-    with open(path("report.txt"), "w") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+    write_report(path("report.txt"), echo, report)
     return written
-
-
-def _append_run_report(lines: list, res: RunResult) -> None:
-    lines.append("method=multimodes")
-    lines.append(f"sigma_hat={_fmt(res.sigma_hat)}")
-    for n in range(len(res.mode_l2)):
-        lines.append(f"mode_l2[{n}]={_fmt(res.mode_l2[n])}")
-        lines.append(f"mode_norm_1h[{n}]={_fmt(res.mode_h1[n])}")
-    for n, r in enumerate(res.rho, start=1):
-        lines.append(f"rho[{n}]={_fmt(r)}")
-    lines.append(f"factorizations={res.counters.factorizations}")
-    lines.append(f"solves={res.counters.solves}")
-    for key, val in res.timings.items():
-        lines.append(f"{key}={_fmt(val)}")
-    lines.append(f"factorize_seconds_total={_fmt(res.counters.factorize_seconds)}")
-    lines.append(f"solve_seconds_total={_fmt(res.counters.solve_seconds)}")

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -160,15 +158,3 @@ def test_block_operators_match_quadrature_loads(degree, rng):
         assert np.allclose(vol[b], asm.rhs(c[b] * asm.eval_volume(u[b])), atol=1e-14)
         expect = asm.rhs(zero, 1j * cb[b] * asm.eval_boundary(u[b]))
         assert np.allclose(bnd[b], expect, atol=1e-14)
-
-
-def test_export_coordinate(tmp_path, mesh4, space4):
-    system = get_assembler(space4).constant(5.0)
-    path = os.path.join(tmp_path, "matrix.txt")
-    system.export_coordinate(path)
-    with open(path) as fh:
-        header = fh.readline().split()
-        nnz = int(header[3])
-        rows = fh.readlines()
-    assert nnz == system.matrix.nnz
-    assert len(rows) == nnz

@@ -30,6 +30,17 @@ def test_single_sample_matches_direct_solve():
     assert np.allclose(res.psi_tilde.coefficients, u, atol=1e-13)
 
 
+def test_nonfinite_solution_is_an_error(monkeypatch):
+    import randhelm.classical
+
+    def nan_solve(factors, b, counters=None):
+        return np.full(np.shape(b), np.nan + 0j)
+
+    monkeypatch.setattr(randhelm.classical, "lu_solve", nan_solve)
+    with pytest.raises(FloatingPointError, match="sample 0"):
+        run_classical(RunConfig(k=5.0, num_samples=2, mesh_n=4))
+
+
 def test_counters_one_factorization_per_sample():
     cfg = RunConfig(k=5.0, epsilon=0.1, num_samples=7, mesh_n=8)
     res = run_classical(cfg)

@@ -1,6 +1,7 @@
 import os
 
 from randhelm.cli import main
+from randhelm.studies import config_from_dict, parse_config
 
 
 def _write_config(path, **kv):
@@ -91,6 +92,28 @@ def test_missing_config_is_an_error(tmp_path, capsys):
     rc = main(["solve-det", "--config", os.path.join(tmp_path, "nope.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_config_keys_are_errors(tmp_path, capsys):
+    out = os.path.join(tmp_path, "bad")
+    typo = _write_config(os.path.join(tmp_path, "typo.txt"), epsilion="0.3")
+    assert main(["run-modes", "--config", typo, "--out", out]) == 1
+    assert "'epsilion'" in capsys.readouterr().err
+    twice = os.path.join(tmp_path, "twice.txt")
+    with open(twice, "w") as fh:
+        fh.write("k=5\nk=7\n")
+    assert main(["run-modes", "--config", twice, "--out", out]) == 1
+    assert "line 2: repeated config key 'k'" in capsys.readouterr().err
+
+
+def test_run_classical_echo_reproduces_config(tmp_path, capsys):
+    cfg = _write_config(os.path.join(tmp_path, "c.txt"), gamma_higher="0.1,0.5", r="2")
+    out = os.path.join(tmp_path, "classical")
+    assert main(["run-classical", "--config", cfg, "--out", out]) == 0
+    echo = parse_config(os.path.join(out, "config.txt"))
+    assert config_from_dict(echo) == config_from_dict(parse_config(cfg))
+    with open(os.path.join(out, "report.txt")) as fh:
+        assert "method=classical" in fh.read()
 
 
 def test_threads_flag_accepted(tmp_path, capsys):

@@ -34,14 +34,6 @@ def test_counters_vector_and_matrix_rhs():
     assert counters.solve_seconds >= 0.0
 
 
-def test_counters_merge():
-    a = SolverCounters(factorizations=1, solves=3, factorize_seconds=0.5)
-    a.merge(SolverCounters(factorizations=2, solves=4, solve_seconds=0.25))
-    assert (a.factorizations, a.solves) == (3, 7)
-    assert a.factorize_seconds == 0.5
-    assert a.solve_seconds == 0.25
-
-
 def test_singular_matrix_detected():
     with pytest.raises(SingularMatrixError):
         lu_factorize(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])))

@@ -1,7 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randhelm import (
     DGFunction,
@@ -37,6 +40,66 @@ def test_config_round_trip(tmp_path):
     assert back == cfg
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw):
+    low, high = sorted((draw(_finite), draw(_finite)))
+    return RunConfig(
+        k=draw(_positive),
+        epsilon=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        num_modes=draw(st.integers(1, 50)),
+        num_samples=draw(st.integers(1, 10**6)),
+        mesh_n=draw(st.integers(1, 500)),
+        degree=draw(st.integers(1, 4)),
+        penalties=PenaltySet(
+            gamma0=draw(_positive),
+            gamma_higher=tuple(draw(st.lists(_nonnegative, min_size=0, max_size=3))),
+            beta1=draw(_nonnegative),
+        ),
+        noise=NoiseSpec(low=low, high=high, seed=draw(st.integers(0, 2**64 - 1))),
+        source=SourceSpec(
+            kind=draw(st.sampled_from(["constant", "radial_wave"])), value=draw(_finite)
+        ),
+        c0_hint=draw(_positive),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_configs())
+def test_config_dict_round_trip_property(cfg):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("gamma_higher", [(0.1, 0.5), ()])
+def test_config_round_trip_every_gamma(tmp_path, gamma_higher):
+    cfg = RunConfig(degree=2, penalties=PenaltySet(gamma_higher=gamma_higher))
+    path = os.path.join(tmp_path, "config.txt")
+    write_config(config_to_dict(cfg), path)
+    assert config_from_dict(parse_config(path)) == cfg
+
+
+def test_config_defaults_and_unknown_keys():
+    assert config_from_dict({}) == RunConfig()
+    assert config_from_dict({"gamma_higher": ""}).penalties.gamma_higher == ()
+    with pytest.raises(ValueError, match="'epsilion'"):
+        config_from_dict({"epsilion": "0.3"})
+    # Study keys belong to StudySpec.from_dict only.
+    with pytest.raises(ValueError, match="'study'"):
+        config_from_dict({"study": "compare"})
+
+
+def test_parse_config_repeated_key(tmp_path):
+    path = os.path.join(tmp_path, "c.txt")
+    with open(path, "w") as fh:
+        fh.write("epsilon=0.3\nk=5\n# k=6\nk=7\n")
+    with pytest.raises(ValueError, match=r"line 4: repeated config key 'k'"):
+        parse_config(path)
+
+
 def test_parse_config_comments_and_errors(tmp_path):
     path = os.path.join(tmp_path, "c.txt")
     with open(path, "w") as fh:
@@ -63,6 +126,30 @@ def test_study_spec_from_dict():
     assert spec.kind == "compare"
     assert spec.eps_values == (0.1, 0.5)
     assert spec.n_values == (1, 3)
+    with pytest.raises(ValueError, match="'study'"):
+        StudySpec.from_dict({"k": "5"})
+    with pytest.raises(ValueError, match="'N_value'"):
+        StudySpec.from_dict({"study": "compare", "N_value": "1"})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StudySpec(
+            kind="compare", base=RunConfig(k=7.25), eps_values=(0.05, 1.0 / 3.0), n_values=(1, 3)
+        ),
+        StudySpec(
+            kind="m_scaling",
+            base=RunConfig(penalties=PenaltySet(gamma_higher=(0.2, 0.3, 0.4))),
+            m_values=(8, 32),
+            m_ref=256,
+        ),
+        StudySpec(kind="manufactured_convergence", base=RunConfig(), mesh_sizes=(4, 8, 16)),
+        StudySpec(kind="modes_sweep", base=RunConfig(penalties=PenaltySet(gamma_higher=()))),
+    ],
+)
+def test_study_spec_round_trip(spec):
+    assert StudySpec.from_dict(spec.to_dict()) == spec
 
 
 def test_solve_deterministic_finite():
@@ -139,6 +226,20 @@ def test_run_full_plain_config(tmp_path):
     ):
         assert os.path.exists(os.path.join(out, rel))
     assert all(os.path.exists(p) for p in written)
+
+
+def test_report_warns_on_coarse_mesh(tmp_path):
+    # k^3*h^2/r^2 = 1000/16 > 10: the warning reaches plain runs, not only
+    # convergence studies.
+    cfg = RunConfig(k=10.0, epsilon=0.1, num_modes=1, num_samples=2, mesh_n=4)
+    out = os.path.join(tmp_path, "coarse")
+    run_full(cfg, out)
+    with open(os.path.join(out, "report.txt")) as fh:
+        report = fh.read()
+    assert "warning: mesh condition k^3*h^2/r^2 = 62.5 at n=4" in report
+    run_full(replace(cfg, mesh_n=10), out)
+    with open(os.path.join(out, "report.txt")) as fh:
+        assert "warning" not in fh.read()
 
 
 def test_run_full_tables_thread_invariant(tmp_path):
