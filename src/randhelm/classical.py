@@ -33,7 +33,6 @@ class BaselineResult:
     psi_tilde: DGFunction
     counters: SolverCounters
     timings: dict
-    media_fingerprints: list
 
 
 def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
@@ -51,7 +50,6 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
     counters = SolverCounters()
     M = config.num_samples
     psi_sum = np.zeros(space.ndof, dtype=complex)
-    fingerprints = []
     t0 = time.perf_counter()
     t_assembly = 0.0
     for j in range(M):
@@ -64,7 +62,6 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"nonfinite values in the solution of sample {j}")
         psi_sum += x
-        fingerprints.append(media.fingerprint())
     t_samples = time.perf_counter() - t0
 
     return BaselineResult(
@@ -76,7 +73,6 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
             "assembly_seconds": t_assembly,
             "sample_loop_seconds": t_samples,
         },
-        media_fingerprints=fingerprints,
     )
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: mesh-info, solve-det, run-modes, run-classical, compare,
 study.  All numeric output uses 17 significant digits; files are written
-by the output functions of `studies`.  Runs are serial;
---threads is accepted for compatibility and has no effect.
+by the output functions of `studies`.  Outputs do not depend on
+scheduling or core count; --threads is accepted for compatibility and
+has no effect.
 """
 from __future__ import annotations
 

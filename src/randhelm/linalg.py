@@ -5,12 +5,15 @@ forward/backward substitutions; this is the entire cost advantage of the
 multi-modes solver over the per-sample refactorizing baseline.  The
 factorization uses a fill-reducing ordering on the symmetrized pattern
 with threshold partial pivoting (the operators are complex-symmetric and
-indefinite, so pure diagonal pivoting would be unsafe).
+indefinite, so pure diagonal pivoting would be unsafe).  Substitutions
+run on one BLAS thread where SuperLU's OpenBLAS allows it (see `lu_solve`).
 """
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +21,14 @@ from scipy.sparse.linalg import splu
 
 from .assembly import SystemMatrix
 
-__all__ = ["LUFactors", "SolverCounters", "SingularMatrixError", "lu_factorize", "lu_solve"]
+__all__ = [
+    "LUFactors",
+    "SolverCounters",
+    "SingularMatrixError",
+    "lu_factorize",
+    "lu_solve",
+    "solves_are_pinned",
+]
 
 _PIVOT_RTOL = 1e-14
 
@@ -36,7 +46,13 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass
 class SolverCounters:
-    """Factorization/solve counts and wall-clock seconds per phase."""
+    """Factorization/solve counts and wall-clock seconds per phase.
+
+    Not thread-safe: only the calling thread updates it.  Substitutions
+    that run on worker threads are counted by the thread that started
+    them, so `solve_seconds` sums the workers' seconds and can exceed the
+    wall time of the loop that ran them.
+    """
 
     factorizations: int = 0
     solves: int = 0
@@ -66,7 +82,7 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
     mat = A.matrix if isinstance(A, SystemMatrix) else sp.csc_matrix(A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    mat = mat.astype(complex)
+    mat = mat.astype(complex, copy=False)
     t0 = time.perf_counter()
     try:
         lu = splu(
@@ -87,18 +103,53 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
     return LUFactors(lu, mat.shape[0])
 
 
+@cache
+def _blas_threads_setter():
+    """OpenBLAS's setter of the calling thread's own BLAS thread count, from
+    the library SuperLU links, or None where that build lacks it.  It
+    returns the previous count."""
+    try:
+        from scipy.sparse.linalg._dsolve import _superlu
+
+        fn = ctypes.CDLL(_superlu.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.argtypes = [ctypes.c_int]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def solves_are_pinned() -> bool:
+    """Whether `lu_solve` runs on one BLAS thread, so that its columns do
+    not depend on how they are split between calls or threads."""
+    return _blas_threads_setter() is not None
+
+
 def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> np.ndarray:
     """Solve via forward/backward substitution with stored factors.
 
-    Repeated calls with the same right-hand side are bit-identical.
+    When `solves_are_pinned()`, the substitution runs on one OpenBLAS
+    thread (the calling thread's previous count is restored), and each
+    column of the solution is bit-identical whatever other columns share
+    the call and whichever thread makes it.  Otherwise OpenBLAS may split
+    the supernode products over its threads, which moves the last digits.
+    SuperLU releases the GIL while it substitutes.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != factors.dimension:
         raise ValueError(
             f"right-hand side has length {b.shape[0]}, expected {factors.dimension}"
         )
+    set_threads = _blas_threads_setter()
     t0 = time.perf_counter()
-    x = factors._lu.solve(b)
+    if set_threads is None:
+        x = factors._lu.solve(b)
+    else:
+        previous = set_threads(1)
+        try:
+            x = factors._lu.solve(b)
+        finally:
+            set_threads(previous)
     dt = time.perf_counter() - t0
     if counters is not None:
         counters.solves += 1 if b.ndim == 1 else b.shape[1]

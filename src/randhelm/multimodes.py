@@ -4,20 +4,30 @@ Each realization expands the random-medium solution in powers of the
 perturbation size epsilon; every mode solves the same constant-coefficient
 IP-DG system with a right-hand side built from the previous two modes.
 All M*N solves therefore reuse one factorization.  Samples advance through
-the modes in fixed blocks of 32, one multi-column substitution per mode
-and block.  Blocks run serially and are reduced in sample order, so the
-output is the same for every call with the same config.
+the modes in fixed half-blocks of 16, one multi-column substitution per
+mode and half-block.  Two half-blocks are in flight at a time: while one's
+substitution runs on worker threads (SuperLU releases the GIL), the
+calling thread builds the other's next load, checks and norms.  Each
+substitution runs on one BLAS thread, so a column's solution does not
+depend on the chunk or thread that computed it; half-blocks are reduced
+in sample order.  The output is therefore the same for every call with
+the same config, whatever the scheduling or the number of cores.
 """
 from __future__ import annotations
 
+import ctypes
+import os
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from math import inf
 
 import numpy as np
 
 from .assembly import PenaltySet, get_assembler, real_product
-from .linalg import SolverCounters, lu_factorize, lu_solve
+from .linalg import SolverCounters, lu_factorize, lu_solve, solves_are_pinned
 from .mesh import build_uniform_mesh
 from .randomness import MediaSample, NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
@@ -102,26 +112,32 @@ def mode_rhs_update(u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: 
     return S, Q
 
 
-_BLOCK = 32  # samples per multi-column substitution; fixed, so the summation order is too
+_BLOCK = 16  # samples per half-block; fixed, so the summation order is too
+# Columns per worker substitution: small, because each worker allocates a
+# copy of its chunk and SuperLU's work array of the same size.
+_CHUNK = 8
 
 
 def _block_modes(js, config, asm, factors, system, refactor, norm_forms, counters):
-    """Mode recursion for a block of realizations.
+    """Mode recursion for a half-block of realizations, as a generator.
 
-    All samples of a block advance through the modes together, so each
-    mode triggers one multi-right-hand-side substitution instead of one
-    solve per sample.  Columns are independent; the result per sample is
-    the same as with per-sample solves (`mode_rhs_update`).
+    All samples of a half-block advance through the modes together, so
+    each mode needs one multi-right-hand-side substitution instead of one
+    solve per sample.  The generator yields `(factors, rhs, out)` per mode
+    and expects the driver to fill `out` with the solution of `rhs`
+    (columns are samples) before resuming it, so that the driver can run
+    the substitution elsewhere.  Columns are independent; the result per
+    sample is the same as with per-sample solves (`mode_rhs_update`).
 
     The recursion runs in coefficient space.  The load of mode n+1 is
     2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v): one
-    block-diagonal operator per term, built once per block from its media
-    and applied to the previous two modes, which are stored sample after
-    sample.  Between the solves there are only sparse products and
-    elementwise operations: a threaded dense BLAS call here would leave
-    its worker threads competing with the substitutions that follow.
-    Returns the modes, shape (N, nb, ndof), and per-sample mode norms,
-    shape (nb, N, 2); solves and factorizations are counted in `counters`.
+    block-diagonal operator per term, built once per half-block from its
+    media and applied to the previous two modes, which are stored sample
+    after sample.  Between the solves there are only sparse products and
+    elementwise operations: a threaded dense BLAS call here would compete
+    with the substitutions for the cores.  Returns the modes, shape
+    (N, nb, ndof), and per-sample mode norms, shape (nb, N, 2); the
+    factorizations of `refactor` are counted in `counters`.
     """
     mesh = asm.mesh
     nb = len(js)
@@ -150,10 +166,11 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, counter
                 rhs += real_product(previous, modes[n - 2].ravel())
         if refactor:
             factors = lu_factorize(system, counters)
-        X = lu_solve(factors, rhs.reshape(nb, ndof).T, counters)
+        # Columns of X are the samples' modes, written in place by the driver.
+        X = modes[n].T
+        yield factors, rhs.reshape(nb, ndof).T, X
         if not np.all(np.isfinite(X)):
             raise FloatingPointError(f"nonfinite values in mode {n} of block {js}")
-        modes[n] = X.T
         # For a real symmetric form A, u^H A u is the sum of the forms of
         # Re u and Im u, which ride as separate columns of Y.
         Y = np.ascontiguousarray(X).view(np.float64)
@@ -161,6 +178,85 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, counter
             q = np.einsum("dk,dk->k", Y, form @ Y).reshape(nb, 2).sum(axis=1)
             norms[:, n, c] = np.sqrt(np.maximum(q, 0.0))
     return modes, norms
+
+
+def _substitute(factors, rhs, out) -> float:
+    """Worker task: out = A^{-1} rhs; returns its seconds."""
+    t0 = time.perf_counter()
+    out[...] = lu_solve(factors, rhs)
+    return time.perf_counter() - t0
+
+
+def _substitution_pool():
+    """Worker threads for the substitutions, or None to run them inline.
+
+    Only pinned solves may move to threads: their columns do not depend
+    on the split into chunks or on the thread, so the results do not
+    depend on scheduling or core count.
+    """
+    if not solves_are_pinned():
+        return None
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(cores or 1, thread_name_prefix="randhelm-lu")
+
+
+def _release_freed_heap():
+    """Give the pages of freed heap chunks back to the system (glibc only).
+
+    The loop's megabyte-sized temporaries land on the C heap once glibc
+    has raised its mmap threshold, and the interleaved half-blocks leave
+    freed chunks below live ones, which stay resident.  Without this, the
+    next large allocations after a run (say, a classical solve) can grow
+    the heap on top of them and raise the process's peak memory.
+    """
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+        trim.restype = ctypes.c_int
+        trim(0)
+
+
+def _pipeline(blocks, make, pool, counters):
+    """Run the half-blocks' recursions two at a time, in sample order.
+
+    While one half-block's substitution runs on the pool's worker threads
+    (in chunks of `_CHUNK` columns), the calling thread advances the other
+    to its next load; without a pool the substitution runs inline, in the
+    same order.  All array work but the substitutions stays on the calling
+    thread, and so does counting.  Yields (js, modes, norms) per half-block
+    in sample order; the next half-block is built only after the consumer
+    has taken the finished one and released it.
+    """
+    in_flight = deque()  # (js, generator, columns, chunk jobs), oldest first
+
+    def advance(js, gen):
+        """Start the half-block's next substitution, or return its result."""
+        try:
+            factors, rhs, out = next(gen)
+        except StopIteration as stop:
+            return stop.value
+        cols = [slice(a, a + _CHUNK) for a in range(0, rhs.shape[1], _CHUNK)]
+        if pool is None:
+            jobs = [_substitute(factors, rhs[:, c], out[:, c]) for c in cols]
+        else:
+            jobs = [pool.submit(_substitute, factors, rhs[:, c], out[:, c]) for c in cols]
+        in_flight.append((js, gen, rhs.shape[1], jobs))
+        return None
+
+    blocks = iter(blocks)
+    for js in islice(blocks, 2):
+        advance(js, make(js))
+    while in_flight:
+        js, gen, columns, jobs = in_flight.popleft()
+        counters.solves += columns
+        counters.solve_seconds += sum(job if pool is None else job.result() for job in jobs)
+        done = advance(js, gen)
+        if done is not None:
+            yield (js, *done)
+            done = None  # freed before the next half-block is built
+            following = next(blocks, None)
+            if following is not None:
+                advance(following, make(following))
 
 
 def run_multimodes(
@@ -174,8 +270,10 @@ def run_multimodes(
     Exactly one factorization is performed regardless of M and N (unless
     `refactor_each_solve` is set, a diagnostic mode used to verify the
     factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
-    the mode-0 sample average after the given sample counts.  `threads` is
-    accepted for compatibility and has no effect: samples run serially.
+    the mode-0 sample average after the given sample counts.  The
+    substitutions run on one worker thread per core of the process's CPU
+    affinity (see `_pipeline`); `threads` is accepted for compatibility
+    and has no effect.  Results do not depend on scheduling or core count.
     """
     t0 = time.perf_counter()
     mesh = build_uniform_mesh(config.mesh_n)
@@ -203,23 +301,36 @@ def run_multimodes(
     norm_forms = (mass, (stiff + jump).tocsr())
     t0 = time.perf_counter()
     block = 1 if refactor_each_solve else _BLOCK
-    for start in range(0, M, block):
-        js = range(start, min(start + block, M))
-        modes, norms = _block_modes(
-            js, config, asm, factors, system, refactor_each_solve, norm_forms, counters
-        )
-        block_sums = modes.sum(axis=1)
-        phi_sums += block_sums
-        for n in range(N):
-            psi_sum += eps_pow[n] * block_sums[n]
-        norm_l2_sum += norms[:, :, 0].sum(axis=0)
-        norm_h1_sum += norms[:, :, 1].sum(axis=0)
-        if start == 0:
-            sample_field = DGFunction(space, sum(eps_pow[n] * modes[n, 0] for n in range(N)))
-        for m in snapshot_sizes:
-            if start < m <= js.stop:
-                prefix = modes[0][: m - start].sum(axis=0)
-                snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
+    blocks = (range(start, min(start + block, M)) for start in range(0, M, block))
+    pool = _substitution_pool()
+    try:
+        for js, modes, norms in _pipeline(
+            blocks,
+            lambda js: _block_modes(
+                js, config, asm, factors, system, refactor_each_solve, norm_forms, counters
+            ),
+            pool,
+            counters,
+        ):
+            block_sums = modes.sum(axis=1)
+            phi_sums += block_sums
+            for n in range(N):
+                psi_sum += eps_pow[n] * block_sums[n]
+            norm_l2_sum += norms[:, :, 0].sum(axis=0)
+            norm_h1_sum += norms[:, :, 1].sum(axis=0)
+            if js.start == 0:
+                sample_field = DGFunction(space, sum(eps_pow[n] * modes[n, 0] for n in range(N)))
+            for m in snapshot_sizes:
+                if js.start < m <= js.stop:
+                    prefix = modes[0][: m - js.start].sum(axis=0)
+                    snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
+            # Free the half-block before `_pipeline` builds the next one:
+            # three in memory at once would set the run's peak.
+            del modes, norms
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        _release_freed_heap()
     t_samples = time.perf_counter() - t0
 
     psi = DGFunction(space, psi_sum / M)

@@ -9,7 +9,6 @@ the same keys, which gives common random numbers across both methods.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +41,6 @@ class MediaSample:
     eta_volume: np.ndarray    # (n_elements, nq)
     eta_boundary: np.ndarray  # (n_boundary_edges, nqe)
     spec: NoiseSpec
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.eta_volume.tobytes())
-        h.update(self.eta_boundary.tobytes())
-        return h.hexdigest()[:16]
 
 
 def sample_media(mesh: TriMesh, spec: NoiseSpec, index: int) -> MediaSample:

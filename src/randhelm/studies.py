@@ -7,6 +7,7 @@ emitted config echo to bit-identical tables.  Every CSV goes through
 """
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -81,6 +82,18 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {key: _fmt(reduce(getattr, path, cfg)) for key, path in _CONFIG_KEYS.items()}
 
 
+def _parse_value(d: dict, key: str, parse):
+    """parse(d[key]).  A value that does not convert is an error naming its
+    key and, when `d` came from `parse_config`, its file and line."""
+    try:
+        return parse(d[key])
+    except ValueError as exc:
+        where = getattr(d, "where", {}).get(key)
+        raise ValueError(
+            f"{where + ': ' if where else ''}cannot read config key {key!r}: {exc}"
+        ) from None
+
+
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from config text; absent keys keep their defaults."""
     unknown = [key for key in d if key not in _CONFIG_KEYS]
@@ -91,7 +104,8 @@ def config_from_dict(d: dict) -> RunConfig:
     for key, path in _CONFIG_KEYS.items():
         if key in d:
             like = reduce(getattr, path, default)
-            value = _split(d[key], float) if isinstance(like, tuple) else type(like)(d[key])
+            parse = (lambda text: _split(text, float)) if isinstance(like, tuple) else type(like)
+            value = _parse_value(d, key, parse)
             if len(path) == 1:
                 top[path[0]] = value
             else:
@@ -101,10 +115,20 @@ def config_from_dict(d: dict) -> RunConfig:
     return replace(default, **top)
 
 
+class _ConfigText(dict):
+    """Key -> value text, as `parse_config` read it; `where[key]` names the
+    file and line of each key for later errors."""
+
+    def __init__(self):
+        super().__init__()
+        self.where = {}
+
+
 def parse_config(path) -> dict:
     """Read a flat key=value file; '#' starts a comment.  A malformed line
-    or a repeated key is an error naming its line."""
-    out = {}
+    or a repeated key is an error naming its line, and so is a value that
+    `config_from_dict` or `StudySpec.from_dict` cannot convert."""
+    out = _ConfigText()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -116,6 +140,7 @@ def parse_config(path) -> dict:
             if key in out:
                 raise ValueError(f"{path}, line {lineno}: repeated config key {key!r}")
             out[key] = val
+            out.where[key] = f"{path}, line {lineno}"
     return out
 
 
@@ -165,8 +190,14 @@ class StudySpec:
         """The `study` key, the sweep keys, and run keys for the base config."""
         if "study" not in d:
             raise ValueError("study config must contain a 'study' key")
-        sweep = {name: parse(d[key]) for key, (name, parse) in _STUDY_KEYS.items() if key in d}
-        run = {key: val for key, val in d.items() if key != "study" and key not in _STUDY_KEYS}
+        sweep = {
+            name: _parse_value(d, key, parse)
+            for key, (name, parse) in _STUDY_KEYS.items()
+            if key in d
+        }
+        run = copy.copy(d)  # keeps parse_config's line of each key
+        for key in ("study", *_STUDY_KEYS):
+            run.pop(key, None)
         return cls(kind=d["study"], base=config_from_dict(run), **sweep)
 
     def to_dict(self) -> dict:
@@ -358,6 +389,7 @@ def _result_lines(res) -> list:
     lines += [f"factorizations={c.factorizations}", f"solves={c.solves}"]
     lines += [f"{key}={_fmt(val)}" for key, val in res.timings.items()]
     lines.append(f"factorize_seconds_total={_fmt(c.factorize_seconds)}")
+    # Summed over the substitution threads: it can exceed sample_loop_seconds.
     lines.append(f"solve_seconds_total={_fmt(c.solve_seconds)}")
     cfg = res.config
     return lines + _resolution_warning(cfg.k, cfg.mesh_n, cfg.degree)
@@ -396,7 +428,7 @@ def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
 
     Returns the list of files written.  Tables and field dumps are fully
     deterministic; wall-clock timings appear only in report.txt.  `threads`
-    is accepted for compatibility and has no effect: runs are serial.
+    is accepted for compatibility and has no effect.
     """
     for sub in ("fields", "sections", "tables"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)

@@ -106,6 +106,13 @@ def test_bad_config_keys_are_errors(tmp_path, capsys):
     assert "line 2: repeated config key 'k'" in capsys.readouterr().err
 
 
+def test_bad_config_values_are_errors(tmp_path, capsys):
+    out = os.path.join(tmp_path, "bad")
+    cfg = _write_config(os.path.join(tmp_path, "bad.txt"), k="abc")
+    assert main(["run-modes", "--config", cfg, "--out", out]) == 1
+    assert "line 1: cannot read config key 'k'" in capsys.readouterr().err
+
+
 def test_run_classical_echo_reproduces_config(tmp_path, capsys):
     cfg = _write_config(os.path.join(tmp_path, "c.txt"), gamma_higher="0.1,0.5", r="2")
     out = os.path.join(tmp_path, "classical")

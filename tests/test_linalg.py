@@ -12,6 +12,7 @@ from randhelm import (
     lu_factorize,
     lu_solve,
 )
+from randhelm.linalg import solves_are_pinned
 
 
 def test_two_by_two_oracle():
@@ -62,6 +63,17 @@ def test_multi_rhs_matches_columnwise(rng):
     for j in range(4):
         xj = lu_solve(factors, B[:, j])
         assert np.allclose(X[:, j], xj, atol=1e-13)
+
+
+@pytest.mark.skipif(not solves_are_pinned(), reason="SuperLU's OpenBLAS cannot pin a thread")
+def test_multi_rhs_is_bit_identical_to_columnwise(rng):
+    # Large enough for supernode products that a threaded BLAS would split.
+    space = DGSpace(build_uniform_mesh(30), 1)
+    factors = lu_factorize(get_assembler(space).constant(5.0))
+    B = rng.standard_normal((space.ndof, 32)) + 1j * rng.standard_normal((space.ndof, 32))
+    X = lu_solve(factors, B)
+    for j in range(32):
+        assert np.array_equal(X[:, j], lu_solve(factors, B[:, j]))
 
 
 def test_solution_matches_direct_solver(rng):

@@ -1,6 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import randhelm.multimodes as multimodes
 from randhelm import (
     DGFunction,
     DGSpace,
@@ -17,6 +21,7 @@ from randhelm import (
     sample_media,
     source_volume,
 )
+from randhelm.linalg import solves_are_pinned
 
 
 def _reference_modes(cfg):
@@ -109,6 +114,49 @@ def test_thread_count_does_not_change_results():
     for a, b in zip(r1.phis, r3.phis):
         assert np.array_equal(a.coefficients, b.coefficients)
     assert np.array_equal(r1.mode_l2, r3.mode_l2)
+
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.psi.coefficients, b.psi.coefficients)
+    for x, y in zip(a.phis, b.phis, strict=True):
+        assert np.array_equal(x.coefficients, y.coefficients)
+    assert np.array_equal(a.mode_l2, b.mode_l2)
+    assert np.array_equal(a.mode_h1, b.mode_h1)
+    assert np.array_equal(a.sample_field.coefficients, b.sample_field.coefficients)
+    assert a.phi0_snapshots.keys() == b.phi0_snapshots.keys()
+    for m, snap in a.phi0_snapshots.items():
+        assert np.array_equal(snap.coefficients, b.phi0_snapshots[m].coefficients)
+    assert (a.counters.factorizations, a.counters.solves) == (
+        b.counters.factorizations,
+        b.counters.solves,
+    )
+
+
+@pytest.mark.skipif(not solves_are_pinned(), reason="substitutions run inline only")
+@pytest.mark.parametrize(
+    "degree, source", [(1, SourceSpec()), (2, SourceSpec(kind="radial_wave"))]
+)
+def test_inline_substitutions_match_threaded(monkeypatch, degree, source):
+    # 35 samples: two full half-blocks of 16 and a partial one of 3.
+    cfg = RunConfig(
+        k=5.0, epsilon=0.2, num_modes=3, num_samples=35, mesh_n=8, degree=degree,
+        source=source,
+    )
+    sizes = (5, 16, 20, 35)
+    threaded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+    assert threaded.counters.solves == cfg.num_samples * cfg.num_modes
+    # More workers than cores and frequent thread switches.
+    monkeypatch.setattr(multimodes, "_substitution_pool", lambda: ThreadPoolExecutor(5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(multimodes, "_substitution_pool", lambda: None)
+    inline = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+    _assert_same_run(threaded, inline)
+    _assert_same_run(crowded, inline)
 
 
 def test_zero_epsilon_collapses_to_mode_zero():

@@ -12,7 +12,6 @@ def test_same_key_reproduces_sample(mesh4):
     b = sample_media(mesh4, spec, 7)
     assert np.array_equal(a.eta_volume, b.eta_volume)
     assert np.array_equal(a.eta_boundary, b.eta_boundary)
-    assert a.fingerprint() == b.fingerprint()
 
 
 def test_different_keys_differ(mesh4):
@@ -20,16 +19,19 @@ def test_different_keys_differ(mesh4):
     a = sample_media(mesh4, spec, 0)
     b = sample_media(mesh4, spec, 1)
     c = sample_media(mesh4, NoiseSpec(seed=43), 0)
-    assert a.fingerprint() != b.fingerprint()
-    assert a.fingerprint() != c.fingerprint()
+    for other in (b, c):
+        assert not np.array_equal(a.eta_volume, other.eta_volume)
+        assert not np.array_equal(a.eta_boundary, other.eta_boundary)
 
 
 def test_order_independence(mesh4):
     spec = NoiseSpec(seed=3)
-    first = sample_media(mesh4, spec, 5).fingerprint()
+    first = sample_media(mesh4, spec, 5)
     for i in (9, 2, 0):
         sample_media(mesh4, spec, i)
-    assert sample_media(mesh4, spec, 5).fingerprint() == first
+    again = sample_media(mesh4, spec, 5)
+    assert np.array_equal(again.eta_volume, first.eta_volume)
+    assert np.array_equal(again.eta_boundary, first.eta_boundary)
 
 
 def test_shapes_and_bounds(mesh4):

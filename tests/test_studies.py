@@ -100,6 +100,28 @@ def test_parse_config_repeated_key(tmp_path):
         parse_config(path)
 
 
+def test_unconvertible_values_name_their_key_and_line(tmp_path):
+    with pytest.raises(ValueError, match=r"config key 'k': could not convert string to float"):
+        config_from_dict({"k": "abc"})
+    with pytest.raises(ValueError, match=r"config key 'N': invalid literal for int\(\)"):
+        config_from_dict({"N": "2.5"})
+    with pytest.raises(ValueError, match=r"config key 'gamma_higher'"):
+        config_from_dict({"gamma_higher": "0.1,x"})
+    path = os.path.join(tmp_path, "c.txt")
+    with open(path, "w") as fh:
+        fh.write("k=5\n# comment\nN=2.5\n")
+    with pytest.raises(ValueError, match=r"c\.txt, line 3: cannot read config key 'N'"):
+        config_from_dict(parse_config(path))
+    with open(path, "w") as fh:
+        fh.write("study=m_scaling\nM_values=25,x\nk=abc\n")
+    with pytest.raises(ValueError, match=r"line 2: cannot read config key 'M_values'"):
+        StudySpec.from_dict(parse_config(path))
+    with open(path, "w") as fh:
+        fh.write("study=m_scaling\nM_values=25,100\nk=abc\n")
+    with pytest.raises(ValueError, match=r"line 3: cannot read config key 'k'"):
+        StudySpec.from_dict(parse_config(path))
+
+
 def test_parse_config_comments_and_errors(tmp_path):
     path = os.path.join(tmp_path, "c.txt")
     with open(path, "w") as fh:
