@@ -5,13 +5,15 @@ forward/backward substitutions; this is the entire cost advantage of the
 multi-modes solver over the per-sample refactorizing baseline.  The
 factorization uses a fill-reducing ordering on the symmetrized pattern
 with threshold partial pivoting (the operators are complex-symmetric and
-indefinite, so pure diagonal pivoting would be unsafe).  Substitutions
-run on one BLAS thread where SuperLU's OpenBLAS allows it (see `lu_solve`).
+indefinite, so pure diagonal pivoting would be unsafe).  Inside
+`single_blas_thread`, substitutions run on one BLAS thread where SuperLU's
+OpenBLAS allows it (see `lu_solve`).
 """
 from __future__ import annotations
 
 import ctypes
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
@@ -27,6 +29,7 @@ __all__ = [
     "SingularMatrixError",
     "lu_factorize",
     "lu_solve",
+    "single_blas_thread",
     "solves_are_pinned",
 ]
 
@@ -105,9 +108,11 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
 
 @cache
 def _blas_threads_setter():
-    """OpenBLAS's setter of the calling thread's own BLAS thread count, from
-    the library SuperLU links, or None where that build lacks it.  It
-    returns the previous count."""
+    """OpenBLAS's `openblas_set_num_threads_local`, from the library SuperLU
+    links, or None where that build lacks it.  It returns the previous
+    count.  Despite its name it sets the count for the whole process in
+    OpenBLAS's pthreads builds (scipy's wheels among them); only OpenMP
+    builds keep it per thread."""
     try:
         from scipy.sparse.linalg._dsolve import _superlu
 
@@ -120,36 +125,47 @@ def _blas_threads_setter():
 
 
 def solves_are_pinned() -> bool:
-    """Whether `lu_solve` runs on one BLAS thread, so that its columns do
-    not depend on how they are split between calls or threads."""
+    """Whether `single_blas_thread` can pin SuperLU's BLAS to one thread."""
     return _blas_threads_setter() is not None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run SuperLU's BLAS on one thread until exit, then restore the count.
+
+    Yields `solves_are_pinned()`.  The count is process-wide, so enter
+    this once, on one thread, around every solve that must be pinned
+    (worker threads included), and not from two threads at a time: their
+    saved counts would cross.
+    """
+    set_threads = _blas_threads_setter()
+    if set_threads is None:
+        yield False
+        return
+    previous = set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(previous)
 
 
 def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> np.ndarray:
     """Solve via forward/backward substitution with stored factors.
 
-    When `solves_are_pinned()`, the substitution runs on one OpenBLAS
-    thread (the calling thread's previous count is restored), and each
-    column of the solution is bit-identical whatever other columns share
-    the call and whichever thread makes it.  Otherwise OpenBLAS may split
-    the supernode products over its threads, which moves the last digits.
-    SuperLU releases the GIL while it substitutes.
+    Inside a pinning `single_blas_thread`, the substitution runs on one
+    OpenBLAS thread, and each column of the solution is bit-identical
+    whatever other columns share the call and whichever thread makes it.
+    Otherwise OpenBLAS may split the supernode products over its threads,
+    which moves the last digits.  SuperLU releases the GIL while it
+    substitutes, so calls from several threads run in parallel.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != factors.dimension:
         raise ValueError(
             f"right-hand side has length {b.shape[0]}, expected {factors.dimension}"
         )
-    set_threads = _blas_threads_setter()
     t0 = time.perf_counter()
-    if set_threads is None:
-        x = factors._lu.solve(b)
-    else:
-        previous = set_threads(1)
-        try:
-            x = factors._lu.solve(b)
-        finally:
-            set_threads(previous)
+    x = factors._lu.solve(b)
     dt = time.perf_counter() - t0
     if counters is not None:
         counters.solves += 1 if b.ndim == 1 else b.shape[1]

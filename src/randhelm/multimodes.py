@@ -27,7 +27,7 @@ from math import inf
 import numpy as np
 
 from .assembly import PenaltySet, get_assembler, real_product
-from .linalg import SolverCounters, lu_factorize, lu_solve, solves_are_pinned
+from .linalg import SolverCounters, lu_factorize, lu_solve, single_blas_thread
 from .mesh import build_uniform_mesh
 from .randomness import MediaSample, NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
@@ -187,14 +187,15 @@ def _substitute(factors, rhs, out) -> float:
     return time.perf_counter() - t0
 
 
-def _substitution_pool():
+def _substitution_pool(pinned: bool):
     """Worker threads for the substitutions, or None to run them inline.
 
-    Only pinned solves may move to threads: their columns do not depend
+    Only pinned solves (inside `single_blas_thread`, with `pinned` the
+    value it yielded) may move to threads: their columns do not depend
     on the split into chunks or on the thread, so the results do not
     depend on scheduling or core count.
     """
-    if not solves_are_pinned():
+    if not pinned:
         return None
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return ThreadPoolExecutor(cores or 1, thread_name_prefix="randhelm-lu")
@@ -221,11 +222,11 @@ def _pipeline(blocks, make, pool, counters):
 
     While one half-block's substitution runs on the pool's worker threads
     (in chunks of `_CHUNK` columns), the calling thread advances the other
-    to its next load; without a pool the substitution runs inline, in the
-    same order.  All array work but the substitutions stays on the calling
-    thread, and so does counting.  Yields (js, modes, norms) per half-block
-    in sample order; the next half-block is built only after the consumer
-    has taken the finished one and released it.
+    to its next load; without a pool each substitution runs inline, in one
+    call, in the same order.  All array work but the substitutions stays
+    on the calling thread, and so does counting.  Yields (js, modes, norms)
+    per half-block in sample order; the next half-block is built only after
+    the consumer has taken the finished one and released it.
     """
     in_flight = deque()  # (js, generator, columns, chunk jobs), oldest first
 
@@ -235,10 +236,10 @@ def _pipeline(blocks, make, pool, counters):
             factors, rhs, out = next(gen)
         except StopIteration as stop:
             return stop.value
-        cols = [slice(a, a + _CHUNK) for a in range(0, rhs.shape[1], _CHUNK)]
         if pool is None:
-            jobs = [_substitute(factors, rhs[:, c], out[:, c]) for c in cols]
+            jobs = [_substitute(factors, rhs, out)]
         else:
+            cols = [slice(a, a + _CHUNK) for a in range(0, rhs.shape[1], _CHUNK)]
             jobs = [pool.submit(_substitute, factors, rhs[:, c], out[:, c]) for c in cols]
         in_flight.append((js, gen, rhs.shape[1], jobs))
         return None
@@ -272,8 +273,11 @@ def run_multimodes(
     factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
     the mode-0 sample average after the given sample counts.  The
     substitutions run on one worker thread per core of the process's CPU
-    affinity (see `_pipeline`); `threads` is accepted for compatibility
-    and has no effect.  Results do not depend on scheduling or core count.
+    affinity (see `_pipeline`), and while the loop runs, SuperLU's
+    OpenBLAS runs on one thread in the whole process (`single_blas_thread`;
+    so do not run two calls at a time on different threads).  `threads` is
+    accepted for compatibility and has no effect.  Results do not depend
+    on scheduling or core count.
     """
     t0 = time.perf_counter()
     mesh = build_uniform_mesh(config.mesh_n)
@@ -302,35 +306,38 @@ def run_multimodes(
     t0 = time.perf_counter()
     block = 1 if refactor_each_solve else _BLOCK
     blocks = (range(start, min(start + block, M)) for start in range(0, M, block))
-    pool = _substitution_pool()
-    try:
-        for js, modes, norms in _pipeline(
-            blocks,
-            lambda js: _block_modes(
-                js, config, asm, factors, system, refactor_each_solve, norm_forms, counters
-            ),
-            pool,
-            counters,
-        ):
-            block_sums = modes.sum(axis=1)
-            phi_sums += block_sums
-            for n in range(N):
-                psi_sum += eps_pow[n] * block_sums[n]
-            norm_l2_sum += norms[:, :, 0].sum(axis=0)
-            norm_h1_sum += norms[:, :, 1].sum(axis=0)
-            if js.start == 0:
-                sample_field = DGFunction(space, sum(eps_pow[n] * modes[n, 0] for n in range(N)))
-            for m in snapshot_sizes:
-                if js.start < m <= js.stop:
-                    prefix = modes[0][: m - js.start].sum(axis=0)
-                    snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
-            # Free the half-block before `_pipeline` builds the next one:
-            # three in memory at once would set the run's peak.
-            del modes, norms
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        _release_freed_heap()
+    with single_blas_thread() as pinned:
+        pool = _substitution_pool(pinned)
+        try:
+            for js, modes, norms in _pipeline(
+                blocks,
+                lambda js: _block_modes(
+                    js, config, asm, factors, system, refactor_each_solve, norm_forms, counters
+                ),
+                pool,
+                counters,
+            ):
+                block_sums = modes.sum(axis=1)
+                phi_sums += block_sums
+                for n in range(N):
+                    psi_sum += eps_pow[n] * block_sums[n]
+                norm_l2_sum += norms[:, :, 0].sum(axis=0)
+                norm_h1_sum += norms[:, :, 1].sum(axis=0)
+                if js.start == 0:
+                    sample_field = DGFunction(
+                        space, sum(eps_pow[n] * modes[n, 0] for n in range(N))
+                    )
+                for m in snapshot_sizes:
+                    if js.start < m <= js.stop:
+                        prefix = modes[0][: m - js.start].sum(axis=0)
+                        snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
+                # Free the half-block before `_pipeline` builds the next one:
+                # three in memory at once would set the run's peak.
+                del modes, norms
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            _release_freed_heap()
     t_samples = time.perf_counter() - t0
 
     psi = DGFunction(space, psi_sum / M)

@@ -77,11 +77,17 @@ def test_common_random_numbers_with_multimodes(monkeypatch):
             assert np.array_equal(media.eta_boundary, expected.eta_boundary)
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(monkeypatch):
     cfg = RunConfig(k=5.0, epsilon=0.1, num_samples=20, mesh_n=8)
+    media1 = _record_media(monkeypatch, classical)
     r1 = run_classical(cfg, threads=1)
+    media2 = _record_media(monkeypatch, classical)
     r2 = run_classical(cfg, threads=2)
     assert np.array_equal(r1.psi_tilde.coefficients, r2.psi_tilde.coefficients)
+    assert len(media1) == len(media2) == cfg.num_samples
+    for a, b in zip(media1, media2):
+        assert np.array_equal(a.eta_volume, b.eta_volume)
+        assert np.array_equal(a.eta_boundary, b.eta_boundary)
 
 
 def test_methods_agree_for_small_epsilon():

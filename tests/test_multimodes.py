@@ -139,21 +139,21 @@ def _assert_same_run(a, b):
 def test_inline_substitutions_match_threaded(monkeypatch, degree, source):
     # 35 samples: two full half-blocks of 16 and a partial one of 3.
     cfg = RunConfig(
-        k=5.0, epsilon=0.2, num_modes=3, num_samples=35, mesh_n=8, degree=degree,
+        k=5.0, epsilon=0.2, num_modes=3, num_samples=35, mesh_n=30, degree=degree,
         source=source,
     )
     sizes = (5, 16, 20, 35)
     threaded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     assert threaded.counters.solves == cfg.num_samples * cfg.num_modes
     # More workers than cores and frequent thread switches.
-    monkeypatch.setattr(multimodes, "_substitution_pool", lambda: ThreadPoolExecutor(5))
+    monkeypatch.setattr(multimodes, "_substitution_pool", lambda pinned: ThreadPoolExecutor(5))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         crowded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(multimodes, "_substitution_pool", lambda: None)
+    monkeypatch.setattr(multimodes, "_substitution_pool", lambda pinned: None)
     inline = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     _assert_same_run(threaded, inline)
     _assert_same_run(crowded, inline)
