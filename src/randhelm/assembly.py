@@ -94,7 +94,7 @@ class Assembler:
     weights, into the real quadratic forms of `broken_norms`; it is built
     on first use.  Point evaluation at the volume and boundary quadrature
     points is a real sparse matrix each; their transposes are the load
-    operators.  `mass_operator` and `boundary_operator` serve the
+    operators.  `volume_loads`, `mass_operator` and `boundary_operator` serve the
     multi-modes recursion: they act on a batch of coefficient vectors
     stacked sample after sample.
     """
@@ -140,11 +140,13 @@ class Assembler:
         self._btrace = t.trace[be, 0]                      # (nbe, nqe, ld)
         self._bweights = mesh.edge_weights[be]
         self._bdofs = dofs[mesh.edge_elems[be, 0]]
-        # Elements with a boundary edge, and each boundary edge's position
-        # among them.
-        self._bnd_elements, self._bnd_edge_element = np.unique(
-            mesh.edge_elems[be, 0], return_inverse=True
+        # Elements with a boundary edge and the first such edge of each; a
+        # corner element's second edge, and that element's position.
+        self._bnd_elements, self._bnd_first, position = np.unique(
+            mesh.edge_elems[be, 0], return_index=True, return_inverse=True
         )
+        self._bnd_second = np.setdiff1d(np.arange(be.size), self._bnd_first)
+        self._bnd_second_pos = position[self._bnd_second]
         shape_b = (be.size, ld, ld)
         rows_b = np.broadcast_to(self._bdofs[:, :, None], shape_b).ravel()
         cols_b = np.broadcast_to(self._bdofs[:, None, :], shape_b).ravel()
@@ -175,6 +177,9 @@ class Assembler:
             np.broadcast_to(dofs[:, None, :], (nel, nq, ld)),
             space.ndof,
         )
+        # The volume load operator, stored by rows: an entry sums its terms in
+        # the same order for one sample or a batch.
+        self._load_op = self._vol_eval.T.tocsr()
         self._bnd_eval = _eval_matrix(
             self._btrace,
             np.broadcast_to(self._bdofs[:, None, :], self._btrace.shape),
@@ -293,13 +298,10 @@ class Assembler:
         sample and element that has a boundary edge.
         """
         edge_blocks = self._boundary_blocks(c)
-        elements = self._bnd_elements
-        blocks = np.zeros(
-            (edge_blocks.shape[0], elements.size) + edge_blocks.shape[2:], edge_blocks.dtype
-        )
+        blocks = edge_blocks[:, self._bnd_first]
         # An element with two boundary edges (a corner) gets both blocks.
-        np.add.at(blocks, (slice(None), self._bnd_edge_element), edge_blocks)
-        return self._block_diagonal(blocks, elements)
+        blocks[:, self._bnd_second_pos] += edge_blocks[:, self._bnd_second]
+        return self._block_diagonal(blocks, self._bnd_elements)
 
     def _block_diagonal(self, blocks, elements) -> sp.bsr_matrix:
         """BSR matrix on nb stacked coefficient vectors with blocks[b, p]
@@ -329,7 +331,7 @@ class Assembler:
         S = np.asarray(S)
         if S.shape != self._Wv.shape:
             raise ValueError(f"volume integrand has shape {S.shape}, expected {self._Wv.shape}")
-        b = real_product(self._vol_eval.T, (self._Wv * S).ravel())
+        b = self.volume_loads(S[None]).reshape(-1)
         if Q is not None:
             Q = np.asarray(Q)
             if Q.shape != self._bweights.shape:
@@ -338,6 +340,18 @@ class Assembler:
                 )
             b += real_product(self._bnd_eval.T, (self._bweights * Q).ravel())
         return b
+
+    def volume_loads(self, S) -> np.ndarray:
+        """Complex load vectors, shape (ndof, nb), of volume data S of shape
+        (nb, nel, nq); column b is `rhs(S[b])` bit for bit.  Real data takes
+        one real product, complex data its real and imaginary parts."""
+        S = np.asarray(S)
+        if S.shape[1:] != self._Wv.shape:
+            raise ValueError(f"volume data has shape {S.shape}, expected (nb, *{self._Wv.shape})")
+        WS = (self._Wv * S).reshape(S.shape[0], -1).T
+        if np.iscomplexobj(WS):
+            return real_product(self._load_op, WS)
+        return (self._load_op @ WS).astype(complex)
 
     def eval_volume(self, coefficients) -> np.ndarray:
         """Values of a DG coefficient vector at all volume quadrature points."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 import numpy as np
@@ -51,16 +51,21 @@ class SingularMatrixError(RuntimeError):
 class SolverCounters:
     """Factorization/solve counts and wall-clock seconds per phase.
 
-    Not thread-safe: only the calling thread updates it.  Substitutions
-    that run on worker threads are counted by the thread that started
-    them, so `solve_seconds` sums the workers' seconds and can exceed the
-    wall time of the loop that ran them.
+    Not thread-safe: a worker thread counts into counters of its own,
+    which the calling thread adds up with `+=`.  `solve_seconds` then sums
+    the seconds of every worker and can exceed the wall time of the loop
+    that ran them.
     """
 
     factorizations: int = 0
     solves: int = 0
     factorize_seconds: float = 0.0
     solve_seconds: float = 0.0
+
+    def __iadd__(self, other: "SolverCounters") -> "SolverCounters":
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
 
 
 @dataclass

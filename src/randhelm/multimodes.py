@@ -5,13 +5,14 @@ perturbation size epsilon; every mode solves the same constant-coefficient
 IP-DG system with a right-hand side built from the previous two modes.
 All M*N solves therefore reuse one factorization.  Samples advance through
 the modes in fixed half-blocks of 16, one multi-column substitution per
-mode and half-block.  Two half-blocks are in flight at a time: while one's
-substitution runs on worker threads (SuperLU releases the GIL), the
-calling thread builds the other's next load, checks and norms.  Each
-substitution runs on one BLAS thread, so a column's solution does not
-depend on the chunk or thread that computed it; half-blocks are reduced
-in sample order.  The output is therefore the same for every call with
-the same config, whatever the scheduling or the number of cores.
+mode and half-block.  Worker threads, one per core, each run whole
+half-blocks: noise draws, loads, block operators, substitutions, checks
+and norms (SuperLU and most array operations release the GIL).  The
+calling thread only adds up the half-blocks' results, in sample order.
+Each substitution runs on one BLAS thread, so a column's solution does
+not depend on the thread that computed it.  The output is therefore the
+same for every call with the same config, whatever the scheduling or the
+number of cores.
 """
 from __future__ import annotations
 
@@ -113,21 +114,15 @@ def mode_rhs_update(u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: 
 
 
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
-# Columns per worker substitution: small, because each worker allocates a
-# copy of its chunk and SuperLU's work array of the same size.
-_CHUNK = 8
 
 
-def _block_modes(js, config, asm, factors, system, refactor, norm_forms, counters):
-    """Mode recursion for a half-block of realizations, as a generator.
+def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
+    """Mode recursion for one half-block of realizations, start to finish.
 
-    All samples of a half-block advance through the modes together, so
-    each mode needs one multi-right-hand-side substitution instead of one
-    solve per sample.  The generator yields `(factors, rhs, out)` per mode
-    and expects the driver to fill `out` with the solution of `rhs`
-    (columns are samples) before resuming it, so that the driver can run
-    the substitution elsewhere.  Columns are independent; the result per
-    sample is the same as with per-sample solves (`mode_rhs_update`).
+    Draws the media, builds all loads with one sparse product, and
+    advances the samples through the modes together: one multi-column
+    substitution per mode, whose columns are independent, so each sample
+    gets what per-sample solves would give (`mode_rhs_update`).
 
     The recursion runs in coefficient space.  The load of mode n+1 is
     2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v): one
@@ -135,21 +130,18 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, counter
     media and applied to the previous two modes, which are stored sample
     after sample.  Between the solves there are only sparse products and
     elementwise operations: a threaded dense BLAS call here would compete
-    with the substitutions for the cores.  Returns the modes, shape
-    (N, nb, ndof), and per-sample mode norms, shape (nb, N, 2); the
-    factorizations of `refactor` are counted in `counters`.
+    with the other half-blocks for the cores.  Returns the modes, shape
+    (N, nb, ndof), per-sample mode norms, shape (nb, N, 2), and the
+    half-block's own `SolverCounters`, so that it can run on any thread.
     """
-    mesh = asm.mesh
-    nb = len(js)
-    ndof = asm.space.ndof
+    counters = SolverCounters()
+    mesh, nb, ndof = asm.mesh, len(js), asm.space.ndof
     media = [sample_media(mesh, config.noise, j) for j in js]
-    k, k2 = config.k, config.k**2
-    rhs = np.stack(
-        [asm.rhs(source_volume(config.source, mesh, m, config.epsilon, k)) for m in media]
-    )
-    N = config.num_modes
     eta = np.stack([m.eta_volume for m in media])
     eta_b = np.stack([m.eta_boundary for m in media])
+    k, k2 = config.k, config.k**2
+    rhs = asm.volume_loads(source_volume(config.source, mesh, eta, config.epsilon, k))
+    N = config.num_modes
     if N > 1:
         current = asm.mass_operator((2.0 * k2) * eta)
         boundary = asm.boundary_operator((-1j * k) * eta_b)
@@ -164,100 +156,77 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, counter
             rhs += boundary @ modes[n - 1].ravel()
             if n > 1:
                 rhs += real_product(previous, modes[n - 2].ravel())
+            rhs = rhs.reshape(nb, ndof).T
         if refactor:
             factors = lu_factorize(system, counters)
-        # Columns of X are the samples' modes, written in place by the driver.
-        X = modes[n].T
-        yield factors, rhs.reshape(nb, ndof).T, X
-        if not np.all(np.isfinite(X)):
+        modes[n] = lu_solve(factors, rhs, counters).T  # columns are samples
+        if not np.all(np.isfinite(modes[n])):
             raise FloatingPointError(f"nonfinite values in mode {n} of block {js}")
         # For a real symmetric form A, u^H A u is the sum of the forms of
         # Re u and Im u, which ride as separate columns of Y.
-        Y = np.ascontiguousarray(X).view(np.float64)
+        Y = np.ascontiguousarray(modes[n].T).view(np.float64)
         for c, form in enumerate(norm_forms):
             q = np.einsum("dk,dk->k", Y, form @ Y).reshape(nb, 2).sum(axis=1)
             norms[:, n, c] = np.sqrt(np.maximum(q, 0.0))
-    return modes, norms
-
-
-def _substitute(factors, rhs, out) -> float:
-    """Worker task: out = A^{-1} rhs; returns its seconds."""
-    t0 = time.perf_counter()
-    out[...] = lu_solve(factors, rhs)
-    return time.perf_counter() - t0
+    return modes, norms, counters
 
 
 def _substitution_pool(pinned: bool):
-    """Worker threads for the substitutions, or None to run them inline.
+    """Worker threads for the half-blocks, or None to run them inline.
 
     Only pinned solves (inside `single_blas_thread`, with `pinned` the
-    value it yielded) may move to threads: their columns do not depend
-    on the split into chunks or on the thread, so the results do not
-    depend on scheduling or core count.
+    value it yielded) may move to threads: a column's solution then does
+    not depend on the other columns of its call or on the thread, so the
+    results do not depend on scheduling or core count.
     """
     if not pinned:
         return None
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ThreadPoolExecutor(cores or 1, thread_name_prefix="randhelm-lu")
+    return ThreadPoolExecutor(cores or 1, thread_name_prefix="randhelm-block")
+
+
+def _libc_call(name, argtypes, *args):
+    """Call a function of the C library with int result, where it has one."""
+    fn = getattr(ctypes.CDLL(None), name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+        fn(*args)
+
+
+def _one_malloc_arena():
+    """Have glibc serve every thread from its main heap: mallopt(M_ARENA_MAX, 1).
+
+    A worker thread would get a malloc arena of its own, whose top stays
+    resident after its chunks are freed: `malloc_trim` does not return it.
+    """
+    _libc_call("mallopt", [ctypes.c_int, ctypes.c_int], -8, 1)  # -8: M_ARENA_MAX
 
 
 def _release_freed_heap():
     """Give the pages of freed heap chunks back to the system (glibc only).
 
-    The loop's megabyte-sized temporaries land on the C heap once glibc
-    has raised its mmap threshold, and the interleaved half-blocks leave
-    freed chunks below live ones, which stay resident.  Without this, the
-    next large allocations after a run (say, a classical solve) can grow
-    the heap on top of them and raise the process's peak memory.
+    The loop's megabyte-sized temporaries land on the C heap once glibc has
+    raised its mmap threshold, and interleaved half-blocks leave freed chunks
+    below live ones.  Left resident, they add to the peak memory of the next
+    large allocations after a run (say, a classical solve).
     """
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes = [ctypes.c_size_t]
-        trim.restype = ctypes.c_int
-        trim(0)
+    _libc_call("malloc_trim", [ctypes.c_size_t], 0)
 
 
-def _pipeline(blocks, make, pool, counters):
-    """Run the half-blocks' recursions two at a time, in sample order.
-
-    While one half-block's substitution runs on the pool's worker threads
-    (in chunks of `_CHUNK` columns), the calling thread advances the other
-    to its next load; without a pool each substitution runs inline, in one
-    call, in the same order.  All array work but the substitutions stays
-    on the calling thread, and so does counting.  Yields (js, modes, norms)
-    per half-block in sample order; the next half-block is built only after
-    the consumer has taken the finished one and released it.
-    """
-    in_flight = deque()  # (js, generator, columns, chunk jobs), oldest first
-
-    def advance(js, gen):
-        """Start the half-block's next substitution, or return its result."""
-        try:
-            factors, rhs, out = next(gen)
-        except StopIteration as stop:
-            return stop.value
-        if pool is None:
-            jobs = [_substitute(factors, rhs, out)]
-        else:
-            cols = [slice(a, a + _CHUNK) for a in range(0, rhs.shape[1], _CHUNK)]
-            jobs = [pool.submit(_substitute, factors, rhs[:, c], out[:, c]) for c in cols]
-        in_flight.append((js, gen, rhs.shape[1], jobs))
-        return None
-
+def _in_sample_order(run, blocks, pool):
+    """Yield run(js) for each half-block js, in sample order: inline without
+    a pool, else on its workers, as many at a time as it has workers.  The
+    next one starts when the consumer asks for the next result."""
+    if pool is None:
+        yield from map(run, blocks)
+        return
     blocks = iter(blocks)
-    for js in islice(blocks, 2):
-        advance(js, make(js))
+    in_flight = deque(pool.submit(run, js) for js in islice(blocks, pool._max_workers))
     while in_flight:
-        js, gen, columns, jobs = in_flight.popleft()
-        counters.solves += columns
-        counters.solve_seconds += sum(job if pool is None else job.result() for job in jobs)
-        done = advance(js, gen)
-        if done is not None:
-            yield (js, *done)
-            done = None  # freed before the next half-block is built
-            following = next(blocks, None)
-            if following is not None:
-                advance(following, make(following))
+        yield in_flight.popleft().result()
+        following = next(blocks, None)
+        if following is not None:
+            in_flight.append(pool.submit(run, following))
 
 
 def run_multimodes(
@@ -272,12 +241,17 @@ def run_multimodes(
     `refactor_each_solve` is set, a diagnostic mode used to verify the
     factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
     the mode-0 sample average after the given sample counts.  The
-    substitutions run on one worker thread per core of the process's CPU
-    affinity (see `_pipeline`), and while the loop runs, SuperLU's
+    half-blocks run on one worker thread per core of the process's CPU
+    affinity (see `_in_sample_order`), and while the loop runs, SuperLU's
     OpenBLAS runs on one thread in the whole process (`single_blas_thread`;
     so do not run two calls at a time on different threads).  `threads` is
     accepted for compatibility and has no effect.  Results do not depend
     on scheduling or core count.
+
+    Before its workers start, the loop limits glibc's malloc to one arena
+    (`_one_malloc_arena`).  That holds for the rest of the process, and has
+    no effect where a thread already needed an arena of its own.  `timings`
+    gives the loop's wall and CPU seconds: their ratio is the cores it used.
     """
     t0 = time.perf_counter()
     mesh = build_uniform_mesh(config.mesh_n)
@@ -295,55 +269,52 @@ def run_multimodes(
     eps_pow = config.epsilon ** np.arange(N)
     psi_sum = np.zeros(space.ndof, dtype=complex)
     phi_sums = np.zeros((N, space.ndof), dtype=complex)
-    norm_l2_sum = np.zeros(N)
-    norm_h1_sum = np.zeros(N)
+    norm_sums = np.zeros((N, 2))  # L2 and broken H1
     sample_field = None
     snapshots: dict[int, np.ndarray] = {}
     snapshot_sizes = set(int(m) for m in phi0_snapshot_sizes)
 
     mass, stiff, jump, _ = asm.norm_forms
     norm_forms = (mass, (stiff + jump).tocsr())
-    t0 = time.perf_counter()
     block = 1 if refactor_each_solve else _BLOCK
-    blocks = (range(start, min(start + block, M)) for start in range(0, M, block))
+    blocks = [range(start, min(start + block, M)) for start in range(0, M, block)]
+
+    def run_block(js):
+        out = _block_modes(js, config, asm, factors, system, refactor_each_solve, norm_forms)
+        return (js, *out)
+
+    t0, cpu0 = time.perf_counter(), time.process_time()
+    _one_malloc_arena()
     with single_blas_thread() as pinned:
         pool = _substitution_pool(pinned)
         try:
-            for js, modes, norms in _pipeline(
-                blocks,
-                lambda js: _block_modes(
-                    js, config, asm, factors, system, refactor_each_solve, norm_forms, counters
-                ),
-                pool,
-                counters,
-            ):
+            for js, modes, norms, block_counters in _in_sample_order(run_block, blocks, pool):
+                counters += block_counters
                 block_sums = modes.sum(axis=1)
                 phi_sums += block_sums
                 for n in range(N):
                     psi_sum += eps_pow[n] * block_sums[n]
-                norm_l2_sum += norms[:, :, 0].sum(axis=0)
-                norm_h1_sum += norms[:, :, 1].sum(axis=0)
+                norm_sums += norms.sum(axis=0)
                 if js.start == 0:
-                    sample_field = DGFunction(
-                        space, sum(eps_pow[n] * modes[n, 0] for n in range(N))
-                    )
+                    first = sum(eps_pow[n] * modes[n, 0] for n in range(N))
+                    sample_field = DGFunction(space, first)
                 for m in snapshot_sizes:
                     if js.start < m <= js.stop:
                         prefix = modes[0][: m - js.start].sum(axis=0)
                         snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
-                # Free the half-block before `_pipeline` builds the next one:
-                # three in memory at once would set the run's peak.
+                # Free the half-block before the next one starts (so nothing
+                # else may hold it): one more in memory would set the peak.
                 del modes, norms
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
             _release_freed_heap()
     t_samples = time.perf_counter() - t0
+    cpu_samples = time.process_time() - cpu0
 
     psi = DGFunction(space, psi_sum / M)
     phis = [DGFunction(space, phi_sums[n] / M) for n in range(N)]
-    mode_l2 = norm_l2_sum / M
-    mode_h1 = norm_h1_sum / M
+    mode_l2, mode_h1 = (norm_sums[:, c] / M for c in range(2))
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(mode_l2[:-1] > 0.0, config.epsilon * mode_l2[1:] / mode_l2[:-1], 0.0)
 
@@ -361,6 +332,7 @@ def run_multimodes(
             "assembly_seconds": t_assembly,
             "factorize_seconds": t_factorize,
             "sample_loop_seconds": t_samples,
+            "sample_loop_cpu_seconds": cpu_samples,
         },
         phi0_snapshots={m: DGFunction(space, v) for m, v in snapshots.items()},
     )

@@ -3,7 +3,8 @@
 Two kinds are supported: a constant source and the oscillatory radial
 wave f = sin(k * alpha * rho) / rho with rho the distance from the
 origin.  The radial source depends on the sampled medium through alpha,
-so it is evaluated per realization at quadrature points.
+so it is evaluated per realization at quadrature points, one sample or a
+stacked batch of samples at a time.  Both sources are real.
 """
 from __future__ import annotations
 
@@ -39,14 +40,21 @@ def _radial(rho, alpha, k):
 
 
 def source_volume(
-    spec: SourceSpec, mesh: TriMesh, media: MediaSample | None, epsilon: float, k: float
+    spec: SourceSpec, mesh: TriMesh, media: MediaSample | np.ndarray | None,
+    epsilon: float, k: float,
 ) -> np.ndarray:
-    """Source values at every volume quadrature point, shape (nel, nq)."""
+    """Real source values at every volume quadrature point, shape (nel, nq).
+
+    `media` is one sample, None for the unperturbed medium, or the eta of a
+    batch stacked on leading axes, (..., nel, nq), which the result keeps.
+    """
+    eta = media.eta_volume if isinstance(media, MediaSample) else media
+    shape = mesh.volume_weights.shape if eta is None else eta.shape
     if spec.kind == "constant":
-        return np.full(mesh.volume_weights.shape, complex(spec.value))
+        return np.full(shape, float(spec.value))
     rho = np.hypot(mesh.volume_points[..., 0], mesh.volume_points[..., 1])
-    if epsilon > 0.0 and media is not None:
-        alpha = 1.0 + epsilon * media.eta_volume
+    if epsilon > 0.0 and eta is not None:
+        alpha = 1.0 + epsilon * eta
     else:
-        alpha = np.ones_like(rho)
-    return _radial(rho, alpha, k).astype(complex)
+        alpha = np.ones(shape)
+    return _radial(rho, alpha, k)

@@ -389,7 +389,7 @@ def _result_lines(res) -> list:
     lines += [f"factorizations={c.factorizations}", f"solves={c.solves}"]
     lines += [f"{key}={_fmt(val)}" for key, val in res.timings.items()]
     lines.append(f"factorize_seconds_total={_fmt(c.factorize_seconds)}")
-    # Summed over the substitution threads: it can exceed sample_loop_seconds.
+    # Summed over the worker threads' half-blocks: can exceed sample_loop_seconds.
     lines.append(f"solve_seconds_total={_fmt(c.solve_seconds)}")
     cfg = res.config
     return lines + _resolution_warning(cfg.k, cfg.mesh_n, cfg.degree)

@@ -5,10 +5,13 @@ from randhelm import (
     DGSpace,
     NoiseSpec,
     PenaltySet,
+    SourceSpec,
     build_uniform_mesh,
     get_assembler,
     sample_media,
+    source_volume,
 )
+from randhelm.assembly import real_product
 
 
 @pytest.mark.parametrize("n,k", [(4, 1.0), (8, 5.0)])
@@ -158,3 +161,49 @@ def test_block_operators_match_quadrature_loads(degree, rng):
         assert np.allclose(vol[b], asm.rhs(c[b] * asm.eval_volume(u[b])), atol=1e-14)
         expect = asm.rhs(zero, 1j * cb[b] * asm.eval_boundary(u[b]))
         assert np.allclose(bnd[b], expect, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "degree, source, nb",
+    [
+        (1, SourceSpec(), 5),
+        (2, SourceSpec(kind="radial_wave"), 5),
+        (2, SourceSpec(kind="radial_wave"), 1),
+    ],
+)
+def test_volume_loads_match_per_sample_rhs(degree, source, nb):
+    # One batched product must give each sample's load bit for bit, both
+    # against `rhs` and against a product with the transposed evaluation
+    # matrix, which sums each entry in the same order.
+    mesh = build_uniform_mesh(5)
+    asm = get_assembler(DGSpace(mesh, degree))
+    k, eps = 7.0, 0.3
+    media = [sample_media(mesh, NoiseSpec(seed=4), j) for j in range(nb)]
+    eta = np.stack([m.eta_volume for m in media])
+    loads = asm.volume_loads(source_volume(source, mesh, eta, eps, k))
+    assert loads.shape == (asm.space.ndof, nb) and loads.dtype == complex
+    for b, m in enumerate(media):
+        S = source_volume(source, mesh, m, eps, k)
+        transposed = real_product(asm._vol_eval.T, (asm._Wv * S.astype(complex)).ravel())
+        assert loads[:, b].tobytes() == asm.rhs(S).tobytes()
+        assert loads[:, b].tobytes() == transposed.tobytes()
+    with pytest.raises(ValueError):
+        asm.volume_loads(eta[:, :-1])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_boundary_operator_matches_scattered_blocks(degree, rng):
+    # Corner elements (n=3) carry two boundary edges; their blocks must be
+    # summed exactly as an unbuffered scatter-add of the edge blocks does.
+    mesh = build_uniform_mesh(3)
+    asm = get_assembler(DGSpace(mesh, degree))
+    cb = rng.standard_normal((4, mesh.boundary_edges.size, mesh.ref_edge_points.size))
+    edge_blocks = asm._boundary_blocks(-1j * cb)
+    elements, position = np.unique(mesh.edge_elems[mesh.boundary_edges, 0], return_inverse=True)
+    assert elements.size < mesh.boundary_edges.size
+    blocks = np.zeros((4, elements.size) + edge_blocks.shape[2:], complex)
+    np.add.at(blocks, (slice(None), position), edge_blocks)
+    expected = asm._block_diagonal(blocks, elements)
+    got = asm.boundary_operator(-1j * cb)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).tobytes() == getattr(expected, attr).tobytes()

@@ -99,7 +99,7 @@ def test_factorization_is_deterministic(rng):
     assert np.array_equal(x1, x2)
 
 
-def test_fingerprint_distinguishes_matrices():
+def test_factors_of_different_operators_give_different_solutions():
     mesh = build_uniform_mesh(4)
     space = DGSpace(mesh, 1)
     f1 = lu_factorize(get_assembler(space).constant(5.0))
