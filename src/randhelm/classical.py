@@ -4,8 +4,13 @@ Assembles and factorizes a fresh variable-coefficient system for every
 realization.  Assembly reuses the precomputed sparsity pattern and fills
 values only; each factorization is a full `splu` call, which recomputes
 the fill-reducing ordering and the symbolic analysis along with the
-numeric work.  Uses the same keyed noise streams as the multi-modes
-driver, so the two methods consume identical media samples.
+numeric work.  Worker threads, one per core, each run whole samples
+(draw, assembly, factorization, solve and check; SuperLU releases the
+GIL), with SuperLU's BLAS on one thread, and the calling thread adds the
+solutions up in sample order, so the mean does not depend on scheduling
+or core count.  A call therefore holds one factorization per worker at a
+time.  Uses the same keyed noise streams as the multi-modes driver, so
+the two methods consume identical media samples.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import PenaltySet, broken_norms, get_assembler
-from .linalg import SolverCounters, lu_factorize, lu_solve
+from .linalg import SolverCounters, lu_factorize, lu_solve, sample_workers
 from .mesh import build_uniform_mesh
 from .multimodes import RunConfig
 from .randomness import sample_media
@@ -38,8 +43,12 @@ class BaselineResult:
 def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
     """Brute-force baseline: one factorization per sample (N is ignored).
 
-    Samples run serially in index order; `threads` is accepted for
-    compatibility and has no effect.
+    Samples run on one worker thread per core of the process's CPU
+    affinity, as in `run_multimodes` (see `sample_workers`), and their
+    solutions are added up in index order.  `timings` gives the loop's
+    wall and CPU seconds; `assembly_seconds` and the counters' seconds
+    are summed over the workers.  `threads` is accepted for compatibility
+    and has no effect.
     """
     t0 = time.perf_counter()
     mesh = build_uniform_mesh(config.mesh_n)
@@ -47,22 +56,30 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
     asm = get_assembler(space, config.penalties)
     t_setup = time.perf_counter() - t0
 
-    counters = SolverCounters()
-    M = config.num_samples
-    psi_sum = np.zeros(space.ndof, dtype=complex)
-    t0 = time.perf_counter()
-    t_assembly = 0.0
-    for j in range(M):
+    def run_sample(j):
+        counters = SolverCounters()
         t_a = time.perf_counter()
         media = sample_media(mesh, config.noise, j)
         system = asm.variable(config.k, media, config.epsilon)
         b = asm.rhs(source_volume(config.source, mesh, media, config.epsilon, config.k))
-        t_assembly += time.perf_counter() - t_a
+        t_assembly = time.perf_counter() - t_a
         x = lu_solve(lu_factorize(system, counters), b, counters)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"nonfinite values in the solution of sample {j}")
-        psi_sum += x
+        return x, counters, t_assembly
+
+    counters = SolverCounters()
+    M = config.num_samples
+    psi_sum = np.zeros(space.ndof, dtype=complex)
+    t_assembly = 0.0
+    t0, cpu0 = time.perf_counter(), time.process_time()
+    with sample_workers() as in_sample_order:
+        for x, sample_counters, t_a in in_sample_order(run_sample, range(M)):
+            psi_sum += x
+            counters += sample_counters
+            t_assembly += t_a
     t_samples = time.perf_counter() - t0
+    cpu_samples = time.process_time() - cpu0
 
     return BaselineResult(
         config=config,
@@ -72,6 +89,7 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
             "setup_seconds": t_setup,
             "assembly_seconds": t_assembly,
             "sample_loop_seconds": t_samples,
+            "sample_loop_cpu_seconds": cpu_samples,
         },
     )
 

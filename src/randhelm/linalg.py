@@ -6,16 +6,21 @@ multi-modes solver over the per-sample refactorizing baseline.  The
 factorization uses a fill-reducing ordering on the symmetrized pattern
 with threshold partial pivoting (the operators are complex-symmetric and
 indefinite, so pure diagonal pivoting would be unsafe).  Inside
-`single_blas_thread`, substitutions run on one BLAS thread where SuperLU's
-OpenBLAS allows it (see `lu_solve`).
+`single_blas_thread`, factorizations and substitutions run on one BLAS
+thread where SuperLU's OpenBLAS allows it (see `lu_solve`).
+`sample_workers` runs both drivers' sample loops on worker threads.
 """
 from __future__ import annotations
 
 import ctypes
+import os
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, partial
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +34,7 @@ __all__ = [
     "SingularMatrixError",
     "lu_factorize",
     "lu_solve",
+    "sample_workers",
     "single_blas_thread",
     "solves_are_pinned",
 ]
@@ -52,9 +58,9 @@ class SolverCounters:
     """Factorization/solve counts and wall-clock seconds per phase.
 
     Not thread-safe: a worker thread counts into counters of its own,
-    which the calling thread adds up with `+=`.  `solve_seconds` then sums
-    the seconds of every worker and can exceed the wall time of the loop
-    that ran them.
+    which the calling thread adds up with `+=`.  `factorize_seconds` and
+    `solve_seconds` then sum the seconds of every worker thread, and in
+    either driver they can exceed the wall time of the loop that ran them.
     """
 
     factorizations: int = 0
@@ -176,3 +182,68 @@ def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> n
         counters.solves += 1 if b.ndim == 1 else b.shape[1]
         counters.solve_seconds += dt
     return x
+
+
+def _worker_count(pinned: bool) -> int | None:
+    """Worker threads for a sample loop, one per core of the process's CPU
+    affinity, or None to run it inline: only pinned solves (`pinned` as
+    `single_blas_thread` yielded it) do not depend on the thread."""
+    if not pinned:
+        return None
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cores or 1
+
+
+def _libc_call(name, argtypes, *args):
+    """Call a function of the C library with int result, where it has one."""
+    fn = getattr(ctypes.CDLL(None), name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+        fn(*args)
+
+
+def _in_sample_order(run, items, pool, workers):
+    """Yield run(item) for each item, in order: inline without a pool, else
+    on its `workers` threads, as many at a time.  The next one starts when
+    the consumer asks for the next result."""
+    if pool is None:
+        yield from map(run, items)
+        return
+    items = iter(items)
+    in_flight = deque(pool.submit(run, item) for item in islice(items, workers))
+    while in_flight:
+        yield in_flight.popleft().result()
+        following = next(items, None)
+        if following is not None:
+            in_flight.append(pool.submit(run, following))
+
+
+@contextmanager
+def sample_workers():
+    """Worker threads for a sample loop, one per core, each on one BLAS thread.
+
+    Yields `in_sample_order(run, items)`, which yields run(item) for each
+    item in order while the workers run the next ones, so the calling
+    thread reduces in a fixed order; `run` counts into `SolverCounters` of
+    its own.  Inside, SuperLU's BLAS runs on one thread in the whole
+    process (`single_blas_thread`; do not enter this from two threads at a
+    time).  On entry glibc's malloc is held to one arena for the rest of
+    the process; this has no effect where a thread already has its own.
+    On exit the pages of freed heap chunks go back to the system.
+    """
+    # mallopt(M_ARENA_MAX, 1): a worker's own arena would keep its top chunk
+    # resident after its chunks are freed, and malloc_trim does not return it.
+    _libc_call("mallopt", [ctypes.c_int, ctypes.c_int], -8, 1)
+    with single_blas_thread() as pinned:
+        workers = _worker_count(pinned)
+        pool = None
+        if workers is not None:
+            pool = ThreadPoolExecutor(workers, thread_name_prefix="randhelm-sample")
+        try:
+            yield partial(_in_sample_order, pool=pool, workers=workers)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            # malloc_trim(0): freed chunks below live ones stay resident
+            # and would add to the peak of the next run in the process.
+            _libc_call("malloc_trim", [ctypes.c_size_t], 0)

@@ -16,19 +16,14 @@ number of cores.
 """
 from __future__ import annotations
 
-import ctypes
-import os
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from math import inf
 
 import numpy as np
 
 from .assembly import PenaltySet, get_assembler, real_product
-from .linalg import SolverCounters, lu_factorize, lu_solve, single_blas_thread
+from .linalg import SolverCounters, lu_factorize, lu_solve, sample_workers
 from .mesh import build_uniform_mesh
 from .randomness import MediaSample, NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
@@ -171,64 +166,6 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
     return modes, norms, counters
 
 
-def _substitution_pool(pinned: bool):
-    """Worker threads for the half-blocks, or None to run them inline.
-
-    Only pinned solves (inside `single_blas_thread`, with `pinned` the
-    value it yielded) may move to threads: a column's solution then does
-    not depend on the other columns of its call or on the thread, so the
-    results do not depend on scheduling or core count.
-    """
-    if not pinned:
-        return None
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ThreadPoolExecutor(cores or 1, thread_name_prefix="randhelm-block")
-
-
-def _libc_call(name, argtypes, *args):
-    """Call a function of the C library with int result, where it has one."""
-    fn = getattr(ctypes.CDLL(None), name, None)
-    if fn is not None:
-        fn.argtypes, fn.restype = argtypes, ctypes.c_int
-        fn(*args)
-
-
-def _one_malloc_arena():
-    """Have glibc serve every thread from its main heap: mallopt(M_ARENA_MAX, 1).
-
-    A worker thread would get a malloc arena of its own, whose top stays
-    resident after its chunks are freed: `malloc_trim` does not return it.
-    """
-    _libc_call("mallopt", [ctypes.c_int, ctypes.c_int], -8, 1)  # -8: M_ARENA_MAX
-
-
-def _release_freed_heap():
-    """Give the pages of freed heap chunks back to the system (glibc only).
-
-    The loop's megabyte-sized temporaries land on the C heap once glibc has
-    raised its mmap threshold, and interleaved half-blocks leave freed chunks
-    below live ones.  Left resident, they add to the peak memory of the next
-    large allocations after a run (say, a classical solve).
-    """
-    _libc_call("malloc_trim", [ctypes.c_size_t], 0)
-
-
-def _in_sample_order(run, blocks, pool):
-    """Yield run(js) for each half-block js, in sample order: inline without
-    a pool, else on its workers, as many at a time as it has workers.  The
-    next one starts when the consumer asks for the next result."""
-    if pool is None:
-        yield from map(run, blocks)
-        return
-    blocks = iter(blocks)
-    in_flight = deque(pool.submit(run, js) for js in islice(blocks, pool._max_workers))
-    while in_flight:
-        yield in_flight.popleft().result()
-        following = next(blocks, None)
-        if following is not None:
-            in_flight.append(pool.submit(run, following))
-
-
 def run_multimodes(
     config: RunConfig,
     threads: int = 1,
@@ -242,16 +179,12 @@ def run_multimodes(
     factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
     the mode-0 sample average after the given sample counts.  The
     half-blocks run on one worker thread per core of the process's CPU
-    affinity (see `_in_sample_order`), and while the loop runs, SuperLU's
-    OpenBLAS runs on one thread in the whole process (`single_blas_thread`;
-    so do not run two calls at a time on different threads).  `threads` is
-    accepted for compatibility and has no effect.  Results do not depend
-    on scheduling or core count.
-
-    Before its workers start, the loop limits glibc's malloc to one arena
-    (`_one_malloc_arena`).  That holds for the rest of the process, and has
-    no effect where a thread already needed an arena of its own.  `timings`
-    gives the loop's wall and CPU seconds: their ratio is the cores it used.
+    affinity, with SuperLU's OpenBLAS on one thread in the whole process
+    and glibc's malloc held to one arena (`sample_workers`; so do not run
+    two calls at a time on different threads).  `threads` is accepted for
+    compatibility and has no effect.  Results do not depend on scheduling
+    or core count.  `timings` gives the loop's wall and CPU seconds: their
+    ratio is the cores it used.
     """
     t0 = time.perf_counter()
     mesh = build_uniform_mesh(config.mesh_n)
@@ -284,31 +217,24 @@ def run_multimodes(
         return (js, *out)
 
     t0, cpu0 = time.perf_counter(), time.process_time()
-    _one_malloc_arena()
-    with single_blas_thread() as pinned:
-        pool = _substitution_pool(pinned)
-        try:
-            for js, modes, norms, block_counters in _in_sample_order(run_block, blocks, pool):
-                counters += block_counters
-                block_sums = modes.sum(axis=1)
-                phi_sums += block_sums
-                for n in range(N):
-                    psi_sum += eps_pow[n] * block_sums[n]
-                norm_sums += norms.sum(axis=0)
-                if js.start == 0:
-                    first = sum(eps_pow[n] * modes[n, 0] for n in range(N))
-                    sample_field = DGFunction(space, first)
-                for m in snapshot_sizes:
-                    if js.start < m <= js.stop:
-                        prefix = modes[0][: m - js.start].sum(axis=0)
-                        snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
-                # Free the half-block before the next one starts (so nothing
-                # else may hold it): one more in memory would set the peak.
-                del modes, norms
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-            _release_freed_heap()
+    with sample_workers() as in_sample_order:
+        for js, modes, norms, block_counters in in_sample_order(run_block, blocks):
+            counters += block_counters
+            block_sums = modes.sum(axis=1)
+            phi_sums += block_sums
+            for n in range(N):
+                psi_sum += eps_pow[n] * block_sums[n]
+            norm_sums += norms.sum(axis=0)
+            if js.start == 0:
+                first = sum(eps_pow[n] * modes[n, 0] for n in range(N))
+                sample_field = DGFunction(space, first)
+            for m in snapshot_sizes:
+                if js.start < m <= js.stop:
+                    prefix = modes[0][: m - js.start].sum(axis=0)
+                    snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
+            # Free the half-block before the next one starts (so nothing
+            # else may hold it): one more in memory would set the peak.
+            del modes, norms
     t_samples = time.perf_counter() - t0
     cpu_samples = time.process_time() - cpu0
 

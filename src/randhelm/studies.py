@@ -388,8 +388,8 @@ def _result_lines(res) -> list:
     c = res.counters
     lines += [f"factorizations={c.factorizations}", f"solves={c.solves}"]
     lines += [f"{key}={_fmt(val)}" for key, val in res.timings.items()]
+    # Both summed over the worker threads: either can exceed sample_loop_seconds.
     lines.append(f"factorize_seconds_total={_fmt(c.factorize_seconds)}")
-    # Summed over the worker threads' half-blocks: can exceed sample_loop_seconds.
     lines.append(f"solve_seconds_total={_fmt(c.solve_seconds)}")
     cfg = res.config
     return lines + _resolution_warning(cfg.k, cfg.mesh_n, cfg.degree)

@@ -1,12 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
 import randhelm.classical as classical
+import randhelm.linalg as linalg
 import randhelm.multimodes as multimodes
 from randhelm import (
     DGFunction,
     DGSpace,
     RunConfig,
+    SourceSpec,
     build_uniform_mesh,
     compare_fields,
     get_assembler,
@@ -17,6 +21,7 @@ from randhelm import (
     sample_media,
     source_volume,
 )
+from randhelm.linalg import solves_are_pinned
 
 
 def test_single_sample_matches_direct_solve():
@@ -51,12 +56,14 @@ def test_counters_one_factorization_per_sample():
 
 
 def _record_media(monkeypatch, module) -> list:
-    """The media samples that `module`'s driver draws, in draw order."""
+    """The (sample index, media sample) pairs that `module`'s driver draws,
+    in draw order, which worker threads make the order of scheduling."""
     drawn = []
 
     def record(mesh, spec, index):
-        drawn.append(sample_media(mesh, spec, index))
-        return drawn[-1]
+        media = sample_media(mesh, spec, index)
+        drawn.append((index, media))
+        return media
 
     monkeypatch.setattr(module, "sample_media", record)
     return drawn
@@ -70,9 +77,10 @@ def test_common_random_numbers_with_multimodes(monkeypatch):
     run_multimodes(cfg)
     mesh = build_uniform_mesh(cfg.mesh_n)
     assert len(from_classical) == len(from_modes) == cfg.num_samples
-    for j, pair in enumerate(zip(from_classical, from_modes)):
+    by_index = (dict(from_classical), dict(from_modes))
+    for j in range(cfg.num_samples):
         expected = sample_media(mesh, cfg.noise, j)
-        for media in pair:
+        for media in (drawn[j] for drawn in by_index):
             assert np.array_equal(media.eta_volume, expected.eta_volume)
             assert np.array_equal(media.eta_boundary, expected.eta_boundary)
 
@@ -85,9 +93,39 @@ def test_thread_count_does_not_change_results(monkeypatch):
     r2 = run_classical(cfg, threads=2)
     assert np.array_equal(r1.psi_tilde.coefficients, r2.psi_tilde.coefficients)
     assert len(media1) == len(media2) == cfg.num_samples
-    for a, b in zip(media1, media2):
-        assert np.array_equal(a.eta_volume, b.eta_volume)
-        assert np.array_equal(a.eta_boundary, b.eta_boundary)
+    media1, media2 = dict(media1), dict(media2)
+    assert media1.keys() == media2.keys() == set(range(cfg.num_samples))
+    for j in range(cfg.num_samples):
+        assert np.array_equal(media1[j].eta_volume, media2[j].eta_volume)
+        assert np.array_equal(media1[j].eta_boundary, media2[j].eta_boundary)
+
+
+@pytest.mark.skipif(not solves_are_pinned(), reason="samples run inline only")
+@pytest.mark.parametrize(
+    "degree, source", [(1, SourceSpec()), (2, SourceSpec(kind="radial_wave"))]
+)
+def test_inline_samples_match_threaded(monkeypatch, degree, source):
+    # 11 samples: more than the workers of either pool, so samples queue.
+    cfg = RunConfig(
+        k=5.0, epsilon=0.2, num_samples=11, mesh_n=12, degree=degree, source=source
+    )
+    threaded = run_classical(cfg)
+    # More workers than cores and frequent thread switches.
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = run_classical(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: None)
+    inline = run_classical(cfg)
+    for other in (threaded, crowded):
+        assert np.array_equal(other.psi_tilde.coefficients, inline.psi_tilde.coefficients)
+        assert (other.counters.factorizations, other.counters.solves) == (
+            inline.counters.factorizations,
+            inline.counters.solves,
+        ) == (cfg.num_samples, cfg.num_samples)
 
 
 def test_methods_agree_for_small_epsilon():

@@ -1,10 +1,9 @@
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-import randhelm.multimodes as multimodes
+import randhelm.linalg as linalg
 from randhelm import (
     DGFunction,
     DGSpace,
@@ -146,14 +145,14 @@ def test_inline_substitutions_match_threaded(monkeypatch, degree, source):
     threaded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     assert threaded.counters.solves == cfg.num_samples * cfg.num_modes
     # More workers than cores and frequent thread switches.
-    monkeypatch.setattr(multimodes, "_substitution_pool", lambda pinned: ThreadPoolExecutor(5))
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         crowded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(multimodes, "_substitution_pool", lambda pinned: None)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: None)
     inline = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     _assert_same_run(threaded, inline)
     _assert_same_run(crowded, inline)
