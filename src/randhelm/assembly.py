@@ -19,15 +19,17 @@ function are quadratic forms built from the same element and edge blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isfinite
 
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import build_uniform_mesh
 from .space import DGFunction, DGSpace
 
-__all__ = ["PenaltySet", "SystemMatrix", "Assembler", "get_assembler", "broken_norms"]
+__all__ = ["PenaltySet", "SystemMatrix", "Assembler", "get_assembler", "broken_norms",
+           "uniform_assembler"]
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,6 @@ class SystemMatrix:
     """Assembled sparse complex-symmetric IP-DG operator."""
 
     matrix: sp.csc_matrix
-    k: float
-    penalties: PenaltySet
-
-    @property
-    def ndof(self) -> int:
-        return self.matrix.shape[0]
 
 
 class Assembler:
@@ -239,7 +235,7 @@ class Assembler:
             (vals, (self._rows, self._cols)),
             shape=(self.space.ndof, self.space.ndof),
         )
-        return SystemMatrix(mat, k, self.penalties)
+        return SystemMatrix(mat)
 
     def constant(self, k: float) -> SystemMatrix:
         return self._build(k, None, None)
@@ -328,10 +324,7 @@ class Assembler:
         S has one value per (element, volume quadrature point); Q, when
         given, one per (boundary edge, edge quadrature point).
         """
-        S = np.asarray(S)
-        if S.shape != self._Wv.shape:
-            raise ValueError(f"volume integrand has shape {S.shape}, expected {self._Wv.shape}")
-        b = self.volume_loads(S[None]).reshape(-1)
+        b = self.volume_loads(np.asarray(S)[None]).reshape(-1)
         if Q is not None:
             Q = np.asarray(Q)
             if Q.shape != self._bweights.shape:
@@ -394,6 +387,15 @@ def get_assembler(space: DGSpace, penalties: PenaltySet = PenaltySet()) -> Assem
         cache[key] = Assembler(space, penalties)
     return cache[key]
 
+
+@lru_cache(maxsize=1)
+def uniform_assembler(mesh_n: int, degree: int, penalties: PenaltySet) -> Assembler:
+    """The set-up of every driver: `get_assembler` on the uniform mesh, whose
+    mesh and space are `.mesh` and `.space`.  The process keeps the last one,
+    norm forms included, until a call with other arguments (pass them by
+    position: one call form, one key).  `cache_clear()` drops it; the space
+    and its assembler refer to each other, so `gc.collect()` frees it."""
+    return get_assembler(DGSpace(build_uniform_mesh(mesh_n), degree), penalties)
 
 
 def broken_norms(f: DGFunction, penalties) -> dict:

@@ -1,16 +1,17 @@
 """Classical Monte Carlo IP-DG baseline.
 
 Assembles and factorizes a fresh variable-coefficient system for every
-realization.  Assembly reuses the precomputed sparsity pattern and fills
-values only; each factorization is a full `splu` call, which recomputes
-the fill-reducing ordering and the symbolic analysis along with the
-numeric work.  Worker threads, one per core, each run whole samples
-(draw, assembly, factorization, solve and check; SuperLU releases the
-GIL), with SuperLU's BLAS on one thread, and the calling thread adds the
-solutions up in sample order, so the mean does not depend on scheduling
-or core count.  A call therefore holds one factorization per worker at a
-time.  Uses the same keyed noise streams as the multi-modes driver, so
-the two methods consume identical media samples.
+realization.  Assembly reuses the precomputed blocks and indices but
+converts COO to CSC, which sorts and sums, for every sample (see
+`Assembler`); each factorization is a full `splu` call, which recomputes
+the fill-reducing ordering and the symbolic analysis.  Worker threads, one
+per core, each run whole samples (draw, assembly, factorization, solve
+and check; SuperLU releases the GIL), with SuperLU's BLAS on one thread,
+and the calling thread adds the solutions up in sample order, so the
+mean does not depend on scheduling or core count.  A call therefore
+holds one factorization per worker at a time.  Uses the same keyed noise
+streams as the multi-modes driver, so the two methods consume identical
+media samples.
 """
 from __future__ import annotations
 
@@ -19,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import PenaltySet, broken_norms, get_assembler
+from .assembly import PenaltySet, broken_norms, uniform_assembler
 from .linalg import SolverCounters, lu_factorize, lu_solve, sample_workers
-from .mesh import build_uniform_mesh
 from .multimodes import RunConfig
 from .randomness import sample_media
 from .sources import source_volume
-from .space import DGFunction, DGSpace
+from .space import DGFunction
 
 __all__ = ["BaselineResult", "run_classical", "compare_fields"]
 
@@ -45,23 +45,22 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
 
     Samples run on one worker thread per core of the process's CPU
     affinity, as in `run_multimodes` (see `sample_workers`), and their
-    solutions are added up in index order.  `timings` gives the loop's
-    wall and CPU seconds; `assembly_seconds` and the counters' seconds
-    are summed over the workers.  `threads` is accepted for compatibility
-    and has no effect.
+    solutions are added up in index order.  The set-up
+    (`uniform_assembler`) is kept for the next call.  `timings` gives the
+    set-up and the loop's wall and CPU seconds; `assembly_seconds` and the
+    counters' seconds are summed over the workers.  `threads` is accepted
+    for compatibility and has no effect.
     """
     t0 = time.perf_counter()
-    mesh = build_uniform_mesh(config.mesh_n)
-    space = DGSpace(mesh, config.degree)
-    asm = get_assembler(space, config.penalties)
+    asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
     t_setup = time.perf_counter() - t0
 
     def run_sample(j):
         counters = SolverCounters()
         t_a = time.perf_counter()
-        media = sample_media(mesh, config.noise, j)
+        media = sample_media(asm.mesh, config.noise, j)
         system = asm.variable(config.k, media, config.epsilon)
-        b = asm.rhs(source_volume(config.source, mesh, media, config.epsilon, config.k))
+        b = asm.rhs(source_volume(config.source, asm.mesh, media, config.epsilon, config.k))
         t_assembly = time.perf_counter() - t_a
         x = lu_solve(lu_factorize(system, counters), b, counters)
         if not np.all(np.isfinite(x)):
@@ -70,7 +69,7 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
 
     counters = SolverCounters()
     M = config.num_samples
-    psi_sum = np.zeros(space.ndof, dtype=complex)
+    psi_sum = np.zeros(asm.space.ndof, dtype=complex)
     t_assembly = 0.0
     t0, cpu0 = time.perf_counter(), time.process_time()
     with sample_workers() as in_sample_order:
@@ -83,7 +82,7 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
 
     return BaselineResult(
         config=config,
-        psi_tilde=DGFunction(space, psi_sum / M),
+        psi_tilde=DGFunction(asm.space, psi_sum / M),
         counters=counters,
         timings={
             "setup_seconds": t_setup,

@@ -14,13 +14,12 @@ from functools import reduce
 
 import numpy as np
 
-from .assembly import PenaltySet, get_assembler
+from .assembly import PenaltySet, uniform_assembler
 from .classical import compare_fields, run_classical
 from .linalg import lu_factorize, lu_solve
-from .mesh import build_uniform_mesh
 from .multimodes import RunConfig, RunResult, run_multimodes
 from .sources import source_volume
-from .space import DGFunction, DGSpace
+from .space import DGFunction
 
 __all__ = [
     "StudySpec",
@@ -216,21 +215,18 @@ class StudySpec:
 
 def solve_deterministic(config: RunConfig) -> DGFunction:
     """Solve the constant-coefficient problem with the configured source
-    (medium fluctuations off) and homogeneous impedance data."""
-    mesh = build_uniform_mesh(config.mesh_n)
-    space = DGSpace(mesh, config.degree)
-    asm = get_assembler(space, config.penalties)
-    system = asm.constant(config.k)
-    b = asm.rhs(source_volume(config.source, mesh, None, 0.0, config.k))
-    x = lu_solve(lu_factorize(system), b)
-    return DGFunction(space, x)
+    (medium fluctuations off) and homogeneous impedance data, on the kept
+    set-up of `uniform_assembler`."""
+    asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
+    b = asm.rhs(source_volume(config.source, asm.mesh, None, 0.0, config.k))
+    x = lu_solve(lu_factorize(asm.constant(config.k)), b)
+    return DGFunction(asm.space, x)
 
 
 def _plane_wave_errors(n: int, k: float, degree: int, penalties: PenaltySet, theta: float):
     """Solve with impedance data of an exact plane wave; return L2/H1 errors."""
-    mesh = build_uniform_mesh(n)
-    space = DGSpace(mesh, degree)
-    asm = get_assembler(space, penalties)
+    asm = uniform_assembler(n, degree, penalties)
+    mesh, space = asm.mesh, asm.space
     d = np.array([np.cos(theta), np.sin(theta)])
 
     def exact(pts):
@@ -243,16 +239,13 @@ def _plane_wave_errors(n: int, k: float, degree: int, penalties: PenaltySet, the
     nrm = mesh.edge_normal[be]
     G0 = 1j * k * (nrm @ d + 1.0)[:, None] * ub
     S = np.zeros(mesh.volume_weights.shape, dtype=complex)
-    b = asm.rhs(S, G0)
-    system = asm.constant(k)
-    x = lu_solve(lu_factorize(system), b)
+    x = lu_solve(lu_factorize(asm.constant(k)), asm.rhs(S, G0))
 
     uh = asm.eval_volume(x)
     ustar = exact(mesh.volume_points)
     err_l2 = np.sqrt(np.sum(mesh.volume_weights * np.abs(uh - ustar) ** 2))
 
-    t = space.tables
-    grad_h = np.einsum("eqic,ei->eqc", t.Gphys, x[space.dofs])
+    grad_h = np.einsum("eqic,ei->eqc", space.tables.Gphys, x[space.dofs])
     grad_star = 1j * k * ustar[..., None] * d[None, None, :]
     err_h1 = np.sqrt(
         np.sum(mesh.volume_weights * np.sum(np.abs(grad_h - grad_star) ** 2, axis=-1))

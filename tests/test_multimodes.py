@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from randhelm import (
     DGFunction,
     DGSpace,
     NoiseSpec,
+    PenaltySet,
     RunConfig,
     SourceSpec,
     broken_norms,
@@ -16,10 +18,12 @@ from randhelm import (
     lu_factorize,
     lu_solve,
     mode_rhs_update,
+    run_classical,
     run_multimodes,
     sample_media,
     source_volume,
 )
+from randhelm.assembly import uniform_assembler
 from randhelm.linalg import solves_are_pinned
 
 
@@ -94,6 +98,46 @@ def test_single_factorization_and_solve_count():
     res = run_multimodes(cfg)
     assert res.counters.factorizations == 1
     assert res.counters.solves == cfg.num_samples * cfg.num_modes
+
+
+def _run_bytes(res):
+    """The bytes of a run's mean field, mode means and mode norms."""
+    return (
+        res.psi.coefficients.tobytes(),
+        *(phi.coefficients.tobytes() for phi in res.phis),
+        res.mode_l2.tobytes(),
+        res.mode_h1.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_calls_share_the_kept_set_up(degree):
+    cfg = RunConfig(k=5.0, epsilon=0.2, num_modes=3, num_samples=20, mesh_n=6, degree=degree)
+    uniform_assembler.cache_clear()
+    first = run_multimodes(cfg)
+    second = run_multimodes(cfg)
+    # The second call found the set-up kept by the first and built none.
+    info = uniform_assembler.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert second.psi.space is first.psi.space
+    assert all(phi.space is first.psi.space for phi in second.phis)
+    uniform_assembler.cache_clear()
+    rebuilt = run_multimodes(cfg)
+    assert rebuilt.psi.space is not first.psi.space
+    for res in (first, second, rebuilt):
+        assert _run_bytes(res) == _run_bytes(first)
+        assert res.counters.factorizations == 1
+        assert res.counters.solves == cfg.num_samples * cfg.num_modes
+    assert run_classical(cfg).psi_tilde.space is rebuilt.psi.space
+
+    # Each of (mesh_n, degree, penalties) alone replaces the kept set-up.
+    short = replace(cfg, num_samples=2)
+    for change in ({"mesh_n": 7}, {"degree": degree + 1}, {"penalties": PenaltySet(gamma0=5.0)}):
+        misses = uniform_assembler.cache_info().misses
+        space = run_multimodes(replace(short, **change)).psi.space
+        assert uniform_assembler.cache_info().misses == misses + 1
+        assert uniform_assembler.cache_info().currsize == 1
+        assert run_multimodes(short).psi.space is not space
 
 
 def test_refactoring_variant_is_equivalent():
