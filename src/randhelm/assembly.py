@@ -52,9 +52,6 @@ class PenaltySet:
             return self.gamma_higher[j - 1]
         return 0.1
 
-    def key(self) -> tuple:
-        return (self.gamma0, self.gamma_higher, self.beta1)
-
     def validate(self) -> None:
         vals = (self.gamma0, self.beta1, *self.gamma_higher)
         if not all(isfinite(v) for v in vals):
@@ -376,26 +373,27 @@ def real_product(op, x) -> np.ndarray:
     return y.view(complex).reshape((op.shape[0],) + x.shape[1:])
 
 
+def quadratic_forms(forms, U) -> np.ndarray:
+    """u^H A u, shape (len(forms), columns), for each real symmetric form A
+    and column u of U: the sum of the forms of Re u and Im u, which ride as
+    two real columns of one sparse product."""
+    Y = np.ascontiguousarray(U, dtype=complex).view(np.float64)
+    return np.stack([np.einsum("dk,dk->k", Y, A @ Y).reshape(-1, 2).sum(axis=1) for A in forms])
+
+
 def get_assembler(space: DGSpace, penalties: PenaltySet = PenaltySet()) -> Assembler:
-    """Return a cached Assembler for (space, penalties)."""
-    cache = getattr(space, "_assembler_cache", None)
-    if cache is None:
-        cache = {}
-        space._assembler_cache = cache
-    key = penalties.key()
-    if key not in cache:
-        cache[key] = Assembler(space, penalties)
-    return cache[key]
+    """A new Assembler for (space, penalties); nothing is cached.  The
+    drivers' set-up, kept between calls, is `uniform_assembler`."""
+    return Assembler(space, penalties)
 
 
 @lru_cache(maxsize=1)
 def uniform_assembler(mesh_n: int, degree: int, penalties: PenaltySet) -> Assembler:
-    """The set-up of every driver: `get_assembler` on the uniform mesh, whose
+    """The set-up of every driver: the Assembler on the uniform mesh, whose
     mesh and space are `.mesh` and `.space`.  The process keeps the last one,
     norm forms included, until a call with other arguments (pass them by
-    position: one call form, one key).  `cache_clear()` drops it; the space
-    and its assembler refer to each other, so `gc.collect()` frees it."""
-    return get_assembler(DGSpace(build_uniform_mesh(mesh_n), degree), penalties)
+    position: one call form, one key).  `cache_clear()` frees it."""
+    return Assembler(DGSpace(build_uniform_mesh(mesh_n), degree), penalties)
 
 
 def broken_norms(f: DGFunction, penalties) -> dict:
@@ -404,19 +402,17 @@ def broken_norms(f: DGFunction, penalties) -> dict:
     The full broken norm adds penalty-weighted jump terms across interior
     edges: value jumps at gamma0*r/h_e, tangential-derivative jumps at
     beta1*r/h_e, and j-th normal-derivative jumps at gamma_j*(h_e/r)^(2j-1).
+    The forms come from the kept set-up `uniform_assembler(n, r, penalties)`
+    of the field's mesh size and degree (the DOF layout depends on these
+    alone), so a call with other penalties replaces that set-up.
     """
     penalties.validate()
-    mass, stiff, jump, bmass = get_assembler(f.space, penalties).norm_forms
-    c = f.coefficients
-
-    def quad(mat):
-        return max(float(np.real(np.vdot(c, mat @ c))), 0.0)
-
-    l2 = np.sqrt(quad(mass))
-    semi_sq = quad(stiff)
+    forms = uniform_assembler(f.space.mesh.n, f.space.degree, penalties).norm_forms
+    q = np.maximum(quadratic_forms(forms, f.coefficients[:, None])[:, 0], 0.0)
+    l2_sq, semi_sq, jump_sq, bnd_sq = (float(v) for v in q)
     return {
-        "l2": l2,
+        "l2": np.sqrt(l2_sq),
         "seminorm_1h": np.sqrt(semi_sq),
-        "norm_1h": np.sqrt(semi_sq + quad(jump)),
-        "boundary_l2": np.sqrt(quad(bmass)),
+        "norm_1h": np.sqrt(semi_sq + jump_sq),
+        "boundary_l2": np.sqrt(bnd_sq),
     }

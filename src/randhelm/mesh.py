@@ -113,12 +113,14 @@ class TriMesh:
         return (np.asarray(points, dtype=float) - v0) @ self.jac_inv[label].T
 
 
-def build_uniform_mesh(n: int, volume_degree: int = 4, edge_points: int = 3) -> TriMesh:
+def build_uniform_mesh(n: int) -> TriMesh:
     """Build the uniform triangulation T_{1/n} of (-0.5, 0.5)^2.
 
     Element labels run row-major over the n x n cells, lower triangle
-    before upper.  Output is deterministic: the same n yields a
-    bit-identical mesh.
+    before upper.  Volumes carry the 6-point degree-4 triangle rule and
+    edges 3 Gauss points, so a mesh, and the quadrature layout of a DG
+    space on it, depend on n alone.  Output is deterministic: the same n
+    yields a bit-identical mesh.
     """
     if n < 1:
         raise ValueError("subdivision count n must be >= 1")
@@ -191,11 +193,11 @@ def build_uniform_mesh(n: int, volume_degree: int = 4, edge_points: int = 3) -> 
     interior = np.flatnonzero(edge_elems[:, 1] >= 0)
     boundary = np.flatnonzero(edge_elems[:, 1] < 0)
 
-    ref_vp, ref_vw = reference_quadrature("triangle", volume_degree)
+    ref_vp, ref_vw = reference_quadrature("triangle", 4)
     volume_points = p0[:, None, :] + np.einsum("eij,qj->eqi", jac, ref_vp)
     volume_weights = ref_vw[None, :] * det[:, None]
 
-    ref_ep, ref_ew = reference_quadrature("edge", edge_points)
+    ref_ep, ref_ew = reference_quadrature("edge", 3)
     edge_pts = pa[:, None, :] + ref_ep[None, :, None] * tang[:, None, :]
     edge_weights = ref_ew[None, :] * edge_length[:, None]
 

@@ -22,7 +22,7 @@ from math import inf
 
 import numpy as np
 
-from .assembly import PenaltySet, get_assembler, real_product, uniform_assembler
+from .assembly import PenaltySet, quadratic_forms, real_product, uniform_assembler
 from .linalg import SolverCounters, lu_factorize, lu_solve, sample_workers
 from .randomness import MediaSample, NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
@@ -95,10 +95,12 @@ def mode_rhs_update(u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: 
 
     Returns (S, Q) with S = 2k^2*eta*u_n + k^2*eta^2*u_prev at volume
     quadrature points and Q = -i*k*eta*u_n at boundary quadrature points.
+    The point evaluations come from the kept set-up (`uniform_assembler`)
+    of the space's mesh size and degree, with the default penalties.
     """
     if u_prev.space is not u_n.space:
         raise ValueError("mode functions live on different spaces")
-    asm = get_assembler(u_n.space)
+    asm = uniform_assembler(u_n.space.mesh.n, u_n.space.degree, PenaltySet())
     k2 = k * k
     uq = asm.eval_volume(u_n.coefficients)
     upq = asm.eval_volume(u_prev.coefficients)
@@ -156,12 +158,7 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
         modes[n] = lu_solve(factors, rhs, counters).T  # columns are samples
         if not np.all(np.isfinite(modes[n])):
             raise FloatingPointError(f"nonfinite values in mode {n} of block {js}")
-        # For a real symmetric form A, u^H A u is the sum of the forms of
-        # Re u and Im u, which ride as separate columns of Y.
-        Y = np.ascontiguousarray(modes[n].T).view(np.float64)
-        for c, form in enumerate(norm_forms):
-            q = np.einsum("dk,dk->k", Y, form @ Y).reshape(nb, 2).sum(axis=1)
-            norms[:, n, c] = np.sqrt(np.maximum(q, 0.0))
+        norms[:, n] = np.sqrt(np.maximum(quadratic_forms(norm_forms, modes[n].T), 0.0)).T
     return modes, norms, counters
 
 
@@ -176,7 +173,8 @@ def run_multimodes(
     Exactly one factorization is performed regardless of M and N (unless
     `refactor_each_solve` is set, a diagnostic mode used to verify the
     factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
-    the mode-0 sample average after the given sample counts.  The
+    the mode-0 sample average after the given sample counts, each in
+    1..M (others raise `ValueError`).  The
     half-blocks run on one worker thread per core of the process's CPU
     affinity, with SuperLU's OpenBLAS on one thread in the whole process
     and glibc's malloc held to one arena (`sample_workers`; so do not run
@@ -187,6 +185,11 @@ def run_multimodes(
     the seconds of each phase; the loop's CPU over wall seconds are the
     cores it used.
     """
+    N, M = config.num_modes, config.num_samples
+    snapshot_sizes = sorted(set(int(m) for m in phi0_snapshot_sizes))
+    for m in snapshot_sizes:
+        if not 1 <= m <= M:
+            raise ValueError(f"phi0 snapshot size {m} lies outside 1..{M}")
     t0 = time.perf_counter()
     asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
     t1 = time.perf_counter()
@@ -199,14 +202,12 @@ def run_multimodes(
     factors = None if refactor_each_solve else lu_factorize(system, counters)
     t_factorize = time.perf_counter() - t0
 
-    N, M = config.num_modes, config.num_samples
     eps_pow = config.epsilon ** np.arange(N)
     psi_sum = np.zeros(space.ndof, dtype=complex)
     phi_sums = np.zeros((N, space.ndof), dtype=complex)
     norm_sums = np.zeros((N, 2))  # L2 and broken H1
     sample_field = None
     snapshots: dict[int, np.ndarray] = {}
-    snapshot_sizes = set(int(m) for m in phi0_snapshot_sizes)
 
     mass, stiff, jump, _ = asm.norm_forms
     norm_forms = (mass, (stiff + jump).tocsr())

@@ -183,6 +183,8 @@ class StudySpec:
             vals = getattr(self, name)
             if list(vals) != sorted(vals):
                 raise ValueError(f"{name} must be sorted ascending")
+        if self.m_values and self.m_values[0] < 1:
+            raise ValueError(f"M_values must be at least 1, got {self.m_values[0]}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudySpec":

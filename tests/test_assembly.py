@@ -125,14 +125,6 @@ def test_gamma_j_defaults():
     assert pen.gamma_j(3) == 0.1
 
 
-def test_assembler_cache(space4, penalties):
-    a1 = get_assembler(space4, penalties)
-    a2 = get_assembler(space4, PenaltySet())
-    assert a1 is a2
-    a3 = get_assembler(space4, PenaltySet(gamma0=5.0))
-    assert a3 is not a1
-
-
 def test_eval_volume_and_boundary_roundtrip(space4, rng):
     asm = get_assembler(space4)
     c = rng.standard_normal(space4.ndof) + 1j * rng.standard_normal(space4.ndof)

@@ -9,8 +9,10 @@ import randhelm.multimodes as multimodes
 from randhelm import (
     DGFunction,
     DGSpace,
+    PenaltySet,
     RunConfig,
     SourceSpec,
+    broken_norms,
     build_uniform_mesh,
     compare_fields,
     get_assembler,
@@ -21,6 +23,7 @@ from randhelm import (
     sample_media,
     source_volume,
 )
+from randhelm.assembly import Assembler
 from randhelm.linalg import solves_are_pinned
 
 
@@ -134,6 +137,28 @@ def test_methods_agree_for_small_epsilon():
     base = run_classical(cfg)
     cmp = compare_fields(modes.psi, base.psi_tilde)
     assert cmp["rel_l2"] < 1e-4
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_compare_fields_needs_no_assembler(degree, monkeypatch):
+    # Fields of a run with other penalties than the default: the distance
+    # is the mass-form L2 distance, measured without a second assembler.
+    cfg = RunConfig(
+        k=5.0, epsilon=0.2, num_modes=2, num_samples=4, mesh_n=5, degree=degree,
+        penalties=PenaltySet(gamma0=5.0),
+    )
+    a, b = run_multimodes(cfg).psi, run_classical(cfg).psi_tilde
+    diff = DGFunction(b.space, a.coefficients - b.coefficients)
+    abs_l2 = broken_norms(diff, cfg.penalties)["l2"]
+    ref_l2 = broken_norms(b, cfg.penalties)["l2"]
+
+    def no_assembler(*args, **kwargs):
+        raise AssertionError("compare_fields built an Assembler")
+
+    monkeypatch.setattr(Assembler, "__init__", no_assembler)
+    cmp = compare_fields(a, b)
+    assert cmp["abs_l2"] == pytest.approx(abs_l2, rel=1e-12, abs=0.0)
+    assert cmp["rel_l2"] == pytest.approx(abs_l2 / ref_l2, rel=1e-12, abs=0.0)
 
 
 def test_compare_fields_identities():

@@ -82,6 +82,12 @@ def test_study(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "tables", "m_scaling.csv"))
 
 
+def test_study_rejects_m_values_below_one(tmp_path, capsys):
+    cfg = _write_config(os.path.join(tmp_path, "c.txt"), study="m_scaling", M_values="0,4")
+    assert main(["study", "--config", cfg, "--out", os.path.join(tmp_path, "bad")]) == 1
+    assert "error: M_values must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_study_requires_study_key(tmp_path, capsys):
     cfg = _write_config(os.path.join(tmp_path, "c.txt"))
     out = os.path.join(tmp_path, "bad")

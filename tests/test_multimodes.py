@@ -1,4 +1,6 @@
+import gc
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +142,24 @@ def test_calls_share_the_kept_set_up(degree):
         assert run_multimodes(short).psi.space is not space
 
 
+def test_cleared_set_up_is_freed_without_the_garbage_collector():
+    # The kept set-up holds no reference cycle: dropping it frees the
+    # assembler and its space at once, also after a driver call.
+    cfg = RunConfig(k=5.0, epsilon=0.2, num_modes=2, num_samples=4, mesh_n=5)
+    uniform_assembler.cache_clear()
+    run_multimodes(cfg)
+    asm = uniform_assembler(cfg.mesh_n, cfg.degree, cfg.penalties)
+    assert len(asm.norm_forms) == 4
+    refs = [weakref.ref(asm), weakref.ref(asm.space)]
+    del asm
+    gc.disable()
+    try:
+        uniform_assembler.cache_clear()
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_refactoring_variant_is_equivalent():
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=2, num_samples=6, mesh_n=8)
     fast = run_multimodes(cfg)
@@ -257,6 +277,14 @@ def test_phi0_snapshots_match_shorter_runs():
             short.phis[0].coefficients,
             atol=1e-13,
         )
+
+
+def test_bad_phi0_snapshot_sizes_are_errors():
+    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=1, num_samples=5, mesh_n=4)
+    for sizes, bad in (((0, 3, 9), 0), ((3, 9), 9), ((6,), 6)):
+        with pytest.raises(ValueError, match=f"snapshot size {bad} lies outside 1..5"):
+            run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+    assert run_multimodes(cfg, phi0_snapshot_sizes=(1, 5)).phi0_snapshots.keys() == {1, 5}
 
 
 def test_mode_rhs_update_formula():

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randhelm import DGFunction, DGSpace, PenaltySet, broken_norms, build_uniform_mesh
+from randhelm import (
+    DGFunction,
+    DGSpace,
+    PenaltySet,
+    broken_norms,
+    build_uniform_mesh,
+    get_assembler,
+)
+from randhelm.assembly import uniform_assembler
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -138,6 +146,20 @@ def test_broken_norms_absolute_homogeneity(c):
     n2 = broken_norms(DGFunction(space, c * base), pen)
     for key in n1:
         assert n2[key] == pytest.approx(abs(c) * n1[key], abs=1e-9, rel=1e-9)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_broken_norms_do_not_depend_on_the_space_object(degree):
+    # A space's DOF layout and quadrature depend on (n, r) alone: a fresh
+    # space gets the same norm forms, and the same norms, as the kept one.
+    pen = PenaltySet(gamma0=5.0)
+    kept = uniform_assembler(5, degree, pen)
+    fresh = DGSpace(build_uniform_mesh(5), degree)
+    for mine, theirs in zip(get_assembler(fresh, pen).norm_forms, kept.norm_forms):
+        assert (mine != theirs).nnz == 0
+    gen = np.random.default_rng(3)
+    c = gen.standard_normal(fresh.ndof) + 1j * gen.standard_normal(fresh.ndof)
+    assert broken_norms(DGFunction(fresh, c), pen) == broken_norms(DGFunction(kept.space, c), pen)
 
 
 def test_norms_reject_invalid_penalties(space4):

@@ -140,6 +140,9 @@ def test_study_spec_validation():
         StudySpec(kind="unknown", base=base)
     with pytest.raises(ValueError):
         StudySpec(kind="m_scaling", base=base, m_values=(100, 25))
+    for m_values in ((0, 4), (-3, 4)):
+        with pytest.raises(ValueError, match=f"M_values must be at least 1, got {m_values[0]}"):
+            StudySpec(kind="m_scaling", base=base, m_values=m_values)
 
 
 def test_study_spec_from_dict():
