@@ -30,8 +30,8 @@ print(
     f"\nfactorizations = {result.counters.factorizations}, "
     f"solves = {result.counters.solves}"
 )
-for key, val in result.timings.items():
-    print(f"{key} = {val:.3f}")
+for phase, seconds in result.counters.seconds.items():
+    print(f"{phase}_seconds = {seconds:.3f}")
 
 os.makedirs("out", exist_ok=True)
 export_cross_section(result.psi, path=os.path.join("out", "mean_field_diagonal.csv"))

@@ -15,7 +15,6 @@ media samples.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ class BaselineResult:
     config: RunConfig
     psi_tilde: DGFunction
     counters: SolverCounters
-    timings: dict
 
 
 def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
@@ -46,50 +44,37 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
     Samples run on one worker thread per core of the process's CPU
     affinity, as in `run_multimodes` (see `sample_workers`), and their
     solutions are added up in index order.  The set-up
-    (`uniform_assembler`) is kept for the next call.  `timings` gives the
-    set-up and the loop's wall and CPU seconds; `assembly_seconds` and the
-    counters' seconds are summed over the workers.  `threads` is accepted
-    for compatibility and has no effect.
+    (`uniform_assembler`) is kept for the next call.  The counters time
+    the phases `setup`, `assembly`, `factorize`, `solve`, `sample_loop`
+    and `sample_loop_cpu`; `assembly`, `factorize` and `solve` run on the
+    workers and are summed over them.  `threads` has no effect; it is
+    kept only because the benchmark scripts in `perfbench/` pass it.
     """
-    t0 = time.perf_counter()
-    asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
-    t_setup = time.perf_counter() - t0
+    counters = SolverCounters()
+    with counters.timed("setup"):
+        asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
 
     def run_sample(j):
-        counters = SolverCounters()
-        t_a = time.perf_counter()
-        media = sample_media(asm.mesh, config.noise, j)
-        system = asm.variable(config.k, media, config.epsilon)
-        b = asm.rhs(source_volume(config.source, asm.mesh, media, config.epsilon, config.k))
-        t_assembly = time.perf_counter() - t_a
-        x = lu_solve(lu_factorize(system, counters), b, counters)
+        sample_counters = SolverCounters()
+        with sample_counters.timed("assembly"):
+            media = sample_media(asm.mesh, config.noise, j)
+            system = asm.variable(config.k, media, config.epsilon)
+            b = asm.rhs(source_volume(config.source, asm.mesh, media, config.epsilon, config.k))
+        x = lu_solve(lu_factorize(system, sample_counters), b, sample_counters)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"nonfinite values in the solution of sample {j}")
-        return x, counters, t_assembly
+        return x, sample_counters
 
-    counters = SolverCounters()
     M = config.num_samples
     psi_sum = np.zeros(asm.space.ndof, dtype=complex)
-    t_assembly = 0.0
-    t0, cpu0 = time.perf_counter(), time.process_time()
-    with sample_workers() as in_sample_order:
-        for x, sample_counters, t_a in in_sample_order(run_sample, range(M)):
+    with sample_workers(counters) as in_sample_order:
+        for x, sample_counters in in_sample_order(run_sample, range(M)):
             psi_sum += x
             counters += sample_counters
-            t_assembly += t_a
-    t_samples = time.perf_counter() - t0
-    cpu_samples = time.process_time() - cpu0
-
     return BaselineResult(
         config=config,
         psi_tilde=DGFunction(asm.space, psi_sum / M),
         counters=counters,
-        timings={
-            "setup_seconds": t_setup,
-            "assembly_seconds": t_assembly,
-            "sample_loop_seconds": t_samples,
-            "sample_loop_cpu_seconds": cpu_samples,
-        },
     )
 
 

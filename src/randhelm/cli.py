@@ -3,8 +3,7 @@
 Subcommands: mesh-info, solve-det, run-modes, run-classical, compare,
 study.  All numeric output uses 17 significant digits; files are written
 by the output functions of `studies`.  Outputs do not depend on
-scheduling or core count; --threads is accepted for compatibility and
-has no effect.
+scheduling or core count.
 """
 from __future__ import annotations
 
@@ -126,9 +125,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=needs_out, default=None)
-        p.add_argument(
-            "--threads", type=int, default=1, help="accepted for compatibility; no effect"
-        )
         p.set_defaults(func=func)
 
     args = parser.parse_args(argv)

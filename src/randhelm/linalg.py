@@ -18,7 +18,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import islice
 
@@ -55,22 +55,33 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass
 class SolverCounters:
-    """Factorization/solve counts and wall-clock seconds per phase.
+    """Factorization and solve counts, and seconds by phase name.
 
+    `timed(phase)` adds the seconds of its block to `seconds[phase]`;
+    `lu_factorize` and `lu_solve` time `factorize` and `solve`, and
+    `sample_workers` times `sample_loop` (wall) and `sample_loop_cpu`.
     Not thread-safe: a worker thread counts into counters of its own,
-    which the calling thread adds up with `+=`.  `factorize_seconds` and
-    `solve_seconds` then sum the seconds of every worker thread, and in
-    either driver they can exceed the wall time of the loop that ran them.
+    which the calling thread adds up with `+=`, phase by phase.  A phase
+    timed on the workers then sums their seconds, and can exceed the wall
+    time of the loop that ran them.
     """
 
     factorizations: int = 0
     solves: int = 0
-    factorize_seconds: float = 0.0
-    solve_seconds: float = 0.0
+    seconds: dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def timed(self, phase: str, clock=time.perf_counter):
+        """Add the seconds of the block, read from `clock`, to `seconds[phase]`."""
+        start = clock()
+        yield
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + clock() - start
 
     def __iadd__(self, other: "SolverCounters") -> "SolverCounters":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.factorizations += other.factorizations
+        self.solves += other.solves
+        for phase, seconds in other.seconds.items():
+            self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
         return self
 
 
@@ -97,23 +108,21 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     mat = mat.astype(complex, copy=False)
-    t0 = time.perf_counter()
-    try:
-        lu = splu(
-            mat,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.1,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # SuperLU reports exact zero pivots itself
-        raise SingularMatrixError(-1, 0.0) from exc
-    dt = time.perf_counter() - t0
+    counters = SolverCounters() if counters is None else counters
+    with counters.timed("factorize"):
+        try:
+            lu = splu(
+                mat,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.1,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # SuperLU reports exact zero pivots itself
+            raise SingularMatrixError(-1, 0.0) from exc
     diag = np.abs(lu.U.diagonal())
     if diag.size and diag.min() < _PIVOT_RTOL * diag.max():
         raise SingularMatrixError(int(diag.argmin()), float(diag.min()))
-    if counters is not None:
-        counters.factorizations += 1
-        counters.factorize_seconds += dt
+    counters.factorizations += 1
     return LUFactors(lu, mat.shape[0])
 
 
@@ -175,12 +184,10 @@ def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> n
         raise ValueError(
             f"right-hand side has length {b.shape[0]}, expected {factors.dimension}"
         )
-    t0 = time.perf_counter()
-    x = factors._lu.solve(b)
-    dt = time.perf_counter() - t0
-    if counters is not None:
-        counters.solves += 1 if b.ndim == 1 else b.shape[1]
-        counters.solve_seconds += dt
+    counters = SolverCounters() if counters is None else counters
+    with counters.timed("solve"):
+        x = factors._lu.solve(b)
+    counters.solves += 1 if b.ndim == 1 else b.shape[1]
     return x
 
 
@@ -219,22 +226,29 @@ def _in_sample_order(run, items, pool, workers):
 
 
 @contextmanager
-def sample_workers():
+def sample_workers(counters: SolverCounters):
     """Worker threads for a sample loop, one per core, each on one BLAS thread.
 
     Yields `in_sample_order(run, items)`, which yields run(item) for each
     item in order while the workers run the next ones, so the calling
     thread reduces in a fixed order; `run` counts into `SolverCounters` of
-    its own.  Inside, SuperLU's BLAS runs on one thread in the whole
-    process (`single_blas_thread`; do not enter this from two threads at a
-    time).  On entry glibc's malloc is held to one arena for the rest of
-    the process; this has no effect where a thread already has its own.
-    On exit the pages of freed heap chunks go back to the system.
+    its own.  The wall and CPU seconds of the loop, all threads' CPU
+    included, go to `counters` as `sample_loop` and `sample_loop_cpu`.
+    Inside, SuperLU's BLAS runs on one thread in the whole process
+    (`single_blas_thread`; do not enter this from two threads at a time).
+    On entry glibc's malloc is held to one arena for the rest of the
+    process; this has no effect where a thread already has its own.  On
+    exit the pages of freed heap chunks go back to the system.
     """
     # mallopt(M_ARENA_MAX, 1): a worker's own arena would keep its top chunk
     # resident after its chunks are freed, and malloc_trim does not return it.
     _libc_call("mallopt", [ctypes.c_int, ctypes.c_int], -8, 1)
-    with single_blas_thread() as pinned:
+    # Exited in reverse, so `sample_loop` is recorded first.
+    with (
+        counters.timed("sample_loop_cpu", time.process_time),
+        counters.timed("sample_loop"),
+        single_blas_thread() as pinned,
+    ):
         workers = _worker_count(pinned)
         pool = None
         if workers is not None:

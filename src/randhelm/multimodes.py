@@ -16,8 +16,8 @@ number of cores.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf
 
 import numpy as np
@@ -66,10 +66,9 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Mode averages, truncated mean field, diagnostics, and timings."""
+    """Mode averages, truncated mean field, diagnostics, and counters."""
 
     config: RunConfig
-    psi: DGFunction                 # epsilon-weighted mean field over N modes
     phis: list[DGFunction]          # per-mode sample averages
     sample_field: DGFunction        # retained first-sample truncated field
     mode_l2: np.ndarray             # sample-mean L2 norm per mode
@@ -77,17 +76,21 @@ class RunResult:
     rho: np.ndarray                 # decay ratios eps*|u_n|/|u_{n-1}|
     sigma_hat: float
     counters: SolverCounters
-    timings: dict
     phi0_snapshots: dict = field(default_factory=dict)
 
     def psi_truncated(self, num_modes: int) -> DGFunction:
         """Rebuild the mean field from the first `num_modes` stored modes."""
         if not 1 <= num_modes <= len(self.phis):
             raise ValueError("num_modes out of range")
-        acc = np.zeros_like(self.psi.coefficients)
+        acc = np.zeros_like(self.phis[0].coefficients)
         for n in range(num_modes):
             acc += self.config.epsilon**n * self.phis[n].coefficients
-        return DGFunction(self.psi.space, acc)
+        return DGFunction(self.phis[0].space, acc)
+
+    @cached_property
+    def psi(self) -> DGFunction:
+        """The epsilon-weighted mean field over all N modes."""
+        return self.psi_truncated(len(self.phis))
 
 
 def mode_rhs_update(u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: float):
@@ -178,32 +181,29 @@ def run_multimodes(
     half-blocks run on one worker thread per core of the process's CPU
     affinity, with SuperLU's OpenBLAS on one thread in the whole process
     and glibc's malloc held to one arena (`sample_workers`; so do not run
-    two calls at a time on different threads).  `threads` is accepted for
-    compatibility and has no effect.  Results do not depend on scheduling
-    or core count.  The set-up (`uniform_assembler`) is kept for the next
-    call; the operator and its factorization are not.  `timings` gives
-    the seconds of each phase; the loop's CPU over wall seconds are the
-    cores it used.
+    two calls at a time on different threads).  Results do not depend on
+    scheduling or core count.  The set-up (`uniform_assembler`) is kept
+    for the next call; the operator and its factorization are not.  The
+    counters time the phases `setup`, `assembly`, `factorize`, `solve`,
+    `sample_loop` and `sample_loop_cpu`; `solve` runs on the workers and
+    is summed over them, and the loop's CPU over wall seconds are the
+    cores it used.  `threads` has no effect; it is kept only because the
+    benchmark scripts in `perfbench/` pass it.
     """
     N, M = config.num_modes, config.num_samples
     snapshot_sizes = sorted(set(int(m) for m in phi0_snapshot_sizes))
     for m in snapshot_sizes:
         if not 1 <= m <= M:
             raise ValueError(f"phi0 snapshot size {m} lies outside 1..{M}")
-    t0 = time.perf_counter()
-    asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
-    t1 = time.perf_counter()
-    system = asm.constant(config.k)
-    t_setup, t_assembly = t1 - t0, time.perf_counter() - t1
-    space = asm.space
-
     counters = SolverCounters()
-    t0 = time.perf_counter()
+    with counters.timed("setup"):
+        asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
+    with counters.timed("assembly"):
+        system = asm.constant(config.k)
+    space = asm.space
     factors = None if refactor_each_solve else lu_factorize(system, counters)
-    t_factorize = time.perf_counter() - t0
 
     eps_pow = config.epsilon ** np.arange(N)
-    psi_sum = np.zeros(space.ndof, dtype=complex)
     phi_sums = np.zeros((N, space.ndof), dtype=complex)
     norm_sums = np.zeros((N, 2))  # L2 and broken H1
     sample_field = None
@@ -218,14 +218,11 @@ def run_multimodes(
         out = _block_modes(js, config, asm, factors, system, refactor_each_solve, norm_forms)
         return (js, *out)
 
-    t0, cpu0 = time.perf_counter(), time.process_time()
-    with sample_workers() as in_sample_order:
+    with sample_workers(counters) as in_sample_order:
         for js, modes, norms, block_counters in in_sample_order(run_block, blocks):
             counters += block_counters
             block_sums = modes.sum(axis=1)
             phi_sums += block_sums
-            for n in range(N):
-                psi_sum += eps_pow[n] * block_sums[n]
             norm_sums += norms.sum(axis=0)
             if js.start == 0:
                 first = sum(eps_pow[n] * modes[n, 0] for n in range(N))
@@ -240,10 +237,7 @@ def run_multimodes(
         # Free these before the heap trim on exit: freed after it, they
         # would stay resident into the next call.
         del system, factors, norm_forms
-    t_samples = time.perf_counter() - t0
-    cpu_samples = time.process_time() - cpu0
 
-    psi = DGFunction(space, psi_sum / M)
     phis = [DGFunction(space, phi_sums[n] / M) for n in range(N)]
     mode_l2, mode_h1 = (norm_sums[:, c] / M for c in range(2))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,7 +245,6 @@ def run_multimodes(
 
     return RunResult(
         config=config,
-        psi=psi,
         phis=phis,
         sample_field=sample_field,
         mode_l2=mode_l2,
@@ -259,12 +252,5 @@ def run_multimodes(
         rho=rho,
         sigma_hat=config.sigma_hat,
         counters=counters,
-        timings={
-            "setup_seconds": t_setup,
-            "assembly_seconds": t_assembly,
-            "factorize_seconds": t_factorize,
-            "sample_loop_seconds": t_samples,
-            "sample_loop_cpu_seconds": cpu_samples,
-        },
         phi0_snapshots={m: DGFunction(space, v) for m, v in snapshots.items()},
     )

@@ -382,10 +382,9 @@ def _result_lines(res) -> list:
         lines += [f"rho[{n}]={_fmt(r)}" for n, r in enumerate(res.rho, start=1)]
     c = res.counters
     lines += [f"factorizations={c.factorizations}", f"solves={c.solves}"]
-    lines += [f"{key}={_fmt(val)}" for key, val in res.timings.items()]
-    # Both summed over the worker threads: either can exceed sample_loop_seconds.
-    lines.append(f"factorize_seconds_total={_fmt(c.factorize_seconds)}")
-    lines.append(f"solve_seconds_total={_fmt(c.solve_seconds)}")
+    # Phases timed on the worker threads are summed over them, so they can
+    # exceed sample_loop_seconds.
+    lines += [f"{phase}_seconds={_fmt(s)}" for phase, s in c.seconds.items()]
     cfg = res.config
     return lines + _resolution_warning(cfg.k, cfg.mesh_n, cfg.degree)
 
@@ -418,12 +417,12 @@ def _compare_sweep(base: RunConfig, eps_values, n_values, report: list) -> list:
     return rows
 
 
-def run_full(config_or_spec, out_dir, threads: int = 1) -> list:
+def run_full(config_or_spec, out_dir) -> list:
     """Run a config or study and write report, fields, sections, tables.
 
     Returns the list of files written.  Tables and field dumps are fully
-    deterministic; wall-clock timings appear only in report.txt.  `threads`
-    is accepted for compatibility and has no effect.
+    deterministic, whatever the scheduling or core count; the seconds of
+    each driver run's phases appear only in report.txt.
     """
     for sub in ("fields", "sections", "tables"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)

@@ -58,6 +58,13 @@ def test_counters_one_factorization_per_sample():
     assert res.counters.solves == 7
 
 
+def test_drivers_time_the_same_phases():
+    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=2, num_samples=3, mesh_n=6)
+    phases = set(run_classical(cfg).counters.seconds)
+    assert phases == set(run_multimodes(cfg).counters.seconds)
+    assert phases == {"setup", "assembly", "factorize", "solve", "sample_loop", "sample_loop_cpu"}
+
+
 def _record_media(monkeypatch, module) -> list:
     """The (sample index, media sample) pairs that `module`'s driver draws,
     in draw order, which worker threads make the order of scheduling."""

@@ -127,9 +127,3 @@ def test_run_classical_echo_reproduces_config(tmp_path, capsys):
     assert config_from_dict(echo) == config_from_dict(parse_config(cfg))
     with open(os.path.join(out, "report.txt")) as fh:
         assert "method=classical" in fh.read()
-
-
-def test_threads_flag_accepted(tmp_path, capsys):
-    cfg = _write_config(os.path.join(tmp_path, "c.txt"))
-    out = os.path.join(tmp_path, "threaded")
-    assert main(["run-modes", "--config", cfg, "--out", out, "--threads", "2"]) == 0

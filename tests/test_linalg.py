@@ -31,8 +31,26 @@ def test_counters_vector_and_matrix_rhs():
     lu_solve(factors, np.ones((3, 5)), counters)
     assert counters.factorizations == 1
     assert counters.solves == 6
-    assert counters.factorize_seconds >= 0.0
-    assert counters.solve_seconds >= 0.0
+
+
+def test_counters_time_phases_and_add_them_by_name():
+    A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
+    counters = SolverCounters()
+    factors = lu_factorize(A, counters)
+    lu_solve(factors, np.ones(3), counters)
+    assert set(counters.seconds) == {"factorize", "solve"}
+    assert all(s >= 0.0 for s in counters.seconds.values())
+    other = SolverCounters(factorizations=2, solves=3, seconds={"solve": 1.5, "setup": 0.25})
+    expected_solve = counters.seconds["solve"] + 1.5
+    counters += other
+    assert (counters.factorizations, counters.solves) == (3, 4)
+    assert counters.seconds["solve"] == expected_solve
+    assert counters.seconds["setup"] == 0.25
+    assert set(counters.seconds) == {"factorize", "solve", "setup"}
+    assert other.seconds == {"solve": 1.5, "setup": 0.25}
+    with counters.timed("setup"):
+        pass
+    assert counters.seconds["setup"] >= 0.25
 
 
 def test_singular_matrix_detected():

@@ -86,8 +86,8 @@ def test_driver_matches_per_sample_recursion():
 
 
 def test_driver_matches_per_sample_recursion_degree2_radial():
-    # The radial source depends on the medium, and 35 samples give one
-    # full block of 32 and a partial one.
+    # The radial source depends on the medium, and 35 samples give two
+    # half-blocks of 16 and a partial one of 3.
     cfg = RunConfig(
         k=5.0, epsilon=0.2, num_modes=3, num_samples=35, mesh_n=6, degree=2,
         source=SourceSpec(kind="radial_wave"),

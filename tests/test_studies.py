@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randhelm.linalg as linalg
 from randhelm import (
     DGFunction,
     DGSpace,
@@ -267,12 +268,14 @@ def test_report_warns_on_coarse_mesh(tmp_path):
         assert "warning" not in fh.read()
 
 
-def test_run_full_tables_thread_invariant(tmp_path):
+def test_run_full_tables_thread_invariant(tmp_path, monkeypatch):
+    # A run on the worker pool against one with its samples run inline.
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=2, num_samples=40, mesh_n=6)
     out1 = os.path.join(tmp_path, "t1")
     out2 = os.path.join(tmp_path, "t2")
-    run_full(cfg, out1, threads=1)
-    run_full(cfg, out2, threads=2)
+    run_full(cfg, out1)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: None)
+    run_full(cfg, out2)
     for rel in (
         "config.txt",
         os.path.join("tables", "modes.csv"),
@@ -284,6 +287,27 @@ def test_run_full_tables_thread_invariant(tmp_path):
         with open(os.path.join(out2, rel), "rb") as fh:
             b = fh.read()
         assert a == b, f"{rel} differs between thread counts"
+
+
+_PHASES = ("setup", "assembly", "factorize", "solve", "sample_loop", "sample_loop_cpu")
+
+
+def test_report_prints_each_phase_once_per_driver_run(tmp_path):
+    base = RunConfig(k=3.0, epsilon=0.1, num_modes=2, num_samples=4, mesh_n=4)
+    out = os.path.join(tmp_path, "sweep")
+    run_full(StudySpec(kind="epsilon_sweep", base=base, eps_values=(0.1, 0.2)), out)
+    with open(os.path.join(out, "report.txt")) as fh:
+        keys = [line.split("=", 1)[0] for line in fh.read().splitlines()]
+    assert not [key for key in keys if key.endswith("_seconds_total")]
+    runs = []  # the *_seconds keys of each driver run, which starts at "method"
+    for key in keys:
+        if key == "method":
+            runs.append([])
+        elif runs and key.endswith("_seconds"):
+            runs[-1].append(key)
+    assert len(runs) == 4  # a multi-modes and a classical run per epsilon
+    for run in runs:
+        assert sorted(run) == sorted(f"{phase}_seconds" for phase in _PHASES)
 
 
 def test_run_full_study_kinds(tmp_path):
