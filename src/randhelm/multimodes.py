@@ -8,7 +8,9 @@ the modes in fixed half-blocks of 16, one multi-column substitution per
 mode and half-block.  Worker threads, one per core, each run whole
 half-blocks: noise draws, loads, block operators, substitutions, checks
 and norms (SuperLU and most array operations release the GIL).  The
-calling thread only adds up the half-blocks' results, in sample order.
+recursion needs only the previous two modes, so a worker keeps two and
+sums each mode over its samples as soon as it is solved.  The calling
+thread only adds up the half-blocks' per-mode sums, in sample order.
 Each substitution runs on one BLAS thread, so a column's solution does
 not depend on the thread that computed it.  The output is therefore the
 same for every call with the same config, whatever the scheduling or the
@@ -115,7 +117,7 @@ def mode_rhs_update(u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: 
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
 
 
-def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
+def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapshot_sizes):
     """Mode recursion for one half-block of realizations, start to finish.
 
     Draws the media, builds all loads with one sparse product, and
@@ -127,17 +129,25 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
     2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v): one
     block-diagonal operator per term, built once per half-block from its
     media and applied to the previous two modes, which are stored sample
-    after sample.  Between the solves there are only sparse products and
-    elementwise operations: a threaded dense BLAS call here would compete
-    with the other half-blocks for the cores.  Returns the modes, shape
-    (N, nb, ndof), per-sample mode norms, shape (nb, N, 2), and the
-    half-block's own `SolverCounters`, so that it can run on any thread.
+    after sample.  Only those two modes are kept: each mode is reduced
+    here as soon as it is solved.  Between the solves there are only
+    sparse products and elementwise operations: a threaded dense BLAS
+    call here would compete with the other half-blocks for the cores.
+
+    Returns what the calling thread reads, so that this can run on any
+    thread: the per-mode sums over the half-block's samples, shape
+    (N, ndof); the summed L2 and broken-H1 mode norms, shape (N, 2);
+    sample 0's N modes, shape (N, ndof), in the half-block that holds
+    it, else None; a dict from each snapshot size m in js[0]+1..js[-1]+1 to the
+    sum of mode 0 over samples js[0]..m-1; and the half-block's own
+    `SolverCounters`.  Every sum runs over the samples in order.
     """
     counters = SolverCounters()
     mesh, nb, ndof = asm.mesh, len(js), asm.space.ndof
     media = [sample_media(mesh, config.noise, j) for j in js]
     eta = np.stack([m.eta_volume for m in media])
     eta_b = np.stack([m.eta_boundary for m in media])
+    del media
     k, k2 = config.k, config.k**2
     rhs = asm.volume_loads(source_volume(config.source, mesh, eta, config.epsilon, k))
     N = config.num_modes
@@ -147,22 +157,46 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
     if N > 2:
         previous = asm.mass_operator(k2 * (eta * eta))
     del eta, eta_b
-    modes = np.empty((N, nb, ndof), dtype=complex)
+    sums = np.empty((N, ndof), dtype=complex)
     norms = np.empty((nb, N, 2))
+    first = np.empty((N, ndof), dtype=complex) if js.start == 0 else None
+    prefixes = {}
     for n in range(N):
         if n > 0:
-            rhs = real_product(current, modes[n - 1].ravel())
-            rhs += boundary @ modes[n - 1].ravel()
+            rhs = real_product(current, u.ravel())
+            rhs += boundary @ u.ravel()
             if n > 1:
-                rhs += real_product(previous, modes[n - 2].ravel())
+                rhs += real_product(previous, u_prev.ravel())
             rhs = rhs.reshape(nb, ndof).T
+            u_prev = u  # u_{n-2} is no longer needed
         if refactor:
             factors = lu_factorize(system, counters)
-        modes[n] = lu_solve(factors, rhs, counters).T  # columns are samples
-        if not np.all(np.isfinite(modes[n])):
+        # SuperLU returns the columns in Fortran order, so each sample's
+        # mode is one contiguous row of u.
+        u = lu_solve(factors, rhs, counters).T
+        del rhs
+        if not np.all(np.isfinite(u)):
             raise FloatingPointError(f"nonfinite values in mode {n} of block {js}")
-        norms[:, n] = np.sqrt(np.maximum(quadratic_forms(norm_forms, modes[n].T), 0.0)).T
-    return modes, norms, counters
+        norms[:, n] = np.sqrt(np.maximum(quadratic_forms(norm_forms, u.T), 0.0)).T
+        u.sum(axis=0, out=sums[n])
+        if first is not None:
+            first[n] = u[0]
+        if n == 0:
+            for m in snapshot_sizes:
+                if js.start < m <= js.stop:
+                    prefixes[m] = u[: m - js.start].sum(axis=0)
+    return sums, norms.sum(axis=0), first, prefixes, counters
+
+
+def _snapshot_size(m, M) -> int:
+    """A `phi0_snapshot_sizes` entry as an int; ValueError unless it is an
+    integer (numpy's included, bool not) in 1..M."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"phi0 snapshot size {m!r} is not an integer")
+    size = int(m)
+    if not 1 <= size <= M:
+        raise ValueError(f"phi0 snapshot size {size} lies outside 1..{M}")
+    return size
 
 
 def run_multimodes(
@@ -176,13 +210,15 @@ def run_multimodes(
     Exactly one factorization is performed regardless of M and N (unless
     `refactor_each_solve` is set, a diagnostic mode used to verify the
     factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
-    the mode-0 sample average after the given sample counts, each in
-    1..M (others raise `ValueError`).  The
+    the mode-0 sample average after the given sample counts, each an
+    integer in 1..M (others raise `ValueError`).  The
     half-blocks run on one worker thread per core of the process's CPU
     affinity, with SuperLU's OpenBLAS on one thread in the whole process
     and glibc's malloc held to one arena (`sample_workers`; so do not run
     two calls at a time on different threads).  Results do not depend on
-    scheduling or core count.  The set-up (`uniform_assembler`) is kept
+    scheduling or core count.  A half-block holds two of its modes at a
+    time and hands back sums, so memory grows with N only by the (N, ndof)
+    sums.  The set-up (`uniform_assembler`) is kept
     for the next call; the operator and its factorization are not.  The
     counters time the phases `setup`, `assembly`, `factorize`, `solve`,
     `sample_loop` and `sample_loop_cpu`; `solve` runs on the workers and
@@ -191,10 +227,7 @@ def run_multimodes(
     benchmark scripts in `perfbench/` pass it.
     """
     N, M = config.num_modes, config.num_samples
-    snapshot_sizes = sorted(set(int(m) for m in phi0_snapshot_sizes))
-    for m in snapshot_sizes:
-        if not 1 <= m <= M:
-            raise ValueError(f"phi0 snapshot size {m} lies outside 1..{M}")
+    snapshot_sizes = sorted({_snapshot_size(m, M) for m in phi0_snapshot_sizes})
     counters = SolverCounters()
     with counters.timed("setup"):
         asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
@@ -215,25 +248,19 @@ def run_multimodes(
     blocks = [range(start, min(start + block, M)) for start in range(0, M, block)]
 
     def run_block(js):
-        out = _block_modes(js, config, asm, factors, system, refactor_each_solve, norm_forms)
-        return (js, *out)
+        return _block_modes(
+            js, config, asm, factors, system, refactor_each_solve, norm_forms, snapshot_sizes
+        )
 
     with sample_workers(counters) as in_sample_order:
-        for js, modes, norms, block_counters in in_sample_order(run_block, blocks):
+        for sums, norms, first, prefixes, block_counters in in_sample_order(run_block, blocks):
             counters += block_counters
-            block_sums = modes.sum(axis=1)
-            phi_sums += block_sums
-            norm_sums += norms.sum(axis=0)
-            if js.start == 0:
-                first = sum(eps_pow[n] * modes[n, 0] for n in range(N))
-                sample_field = DGFunction(space, first)
-            for m in snapshot_sizes:
-                if js.start < m <= js.stop:
-                    prefix = modes[0][: m - js.start].sum(axis=0)
-                    snapshots[m] = (phi_sums[0] - block_sums[0] + prefix) / m
-            # Free the half-block before the next one starts (so nothing
-            # else may hold it): one more in memory would set the peak.
-            del modes, norms
+            phi_sums += sums
+            norm_sums += norms
+            if first is not None:
+                sample_field = DGFunction(space, sum(eps_pow[n] * first[n] for n in range(N)))
+            for m, prefix in prefixes.items():
+                snapshots[m] = (phi_sums[0] - sums[0] + prefix) / m
         # Free these before the heap trim on exit: freed after it, they
         # would stay resident into the next call.
         del system, factors, norm_forms

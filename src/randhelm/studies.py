@@ -278,7 +278,7 @@ def run_manufactured_convergence(spec: StudySpec, theta: float = 0.3) -> list:
             "rel_l2": rel,
             "rate_l2": np.nan,
             "rate_h1": np.nan,
-            "mesh_condition": cfg.k**3 / (n * n * cfg.degree**2),
+            "mesh_condition": _mesh_condition(cfg.k, n, cfg.degree),
         }
         if prev is not None:
             ratio = np.log(n / prev["n"])
@@ -362,9 +362,14 @@ def export_field(f: DGFunction, path) -> None:
     _write_table(path, ["x", "y", "element", "re", "im", "abs"], rows())
 
 
+def _mesh_condition(k: float, n: int, r: int) -> float:
+    """The discretization number k^3*h^2/r^2 at h = 1/n."""
+    return k**3 / (n * n * r**2)
+
+
 def _resolution_warning(k: float, n: int, r: int) -> list:
     """A warning line when k^3*h^2/r^2 > 10, where pollution sets in."""
-    condition = k**3 / (n * n * r**2)
+    condition = _mesh_condition(k, n, r)
     if condition <= 10.0:
         return []
     return [f"warning: mesh condition k^3*h^2/r^2 = {_fmt(condition)} at n={n}"]
@@ -386,6 +391,7 @@ def _result_lines(res) -> list:
     # exceed sample_loop_seconds.
     lines += [f"{phase}_seconds={_fmt(s)}" for phase, s in c.seconds.items()]
     cfg = res.config
+    lines.append(f"mesh_condition={_fmt(_mesh_condition(cfg.k, cfg.mesh_n, cfg.degree))}")
     return lines + _resolution_warning(cfg.k, cfg.mesh_n, cfg.degree)
 
 

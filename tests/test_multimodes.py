@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -169,14 +170,15 @@ def test_refactoring_variant_is_equivalent():
     assert slow.counters.factorizations == cfg.num_samples * cfg.num_modes
 
 
-def test_thread_count_does_not_change_results():
+@pytest.mark.skipif(not solves_are_pinned(), reason="substitutions run inline only")
+def test_thread_count_does_not_change_results(monkeypatch):
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=70, mesh_n=8)
-    r1 = run_multimodes(cfg, threads=1)
-    r3 = run_multimodes(cfg, threads=3)
-    assert np.array_equal(r1.psi.coefficients, r3.psi.coefficients)
-    for a, b in zip(r1.phis, r3.phis):
-        assert np.array_equal(a.coefficients, b.coefficients)
-    assert np.array_equal(r1.mode_l2, r3.mode_l2)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 3)
+    pooled = run_multimodes(cfg)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: None)
+    inline = run_multimodes(cfg)
+    assert _run_bytes(pooled) == _run_bytes(inline)
+    _assert_same_run(pooled, inline)
 
 
 def _assert_same_run(a, b):
@@ -220,6 +222,30 @@ def test_inline_substitutions_match_threaded(monkeypatch, degree, source):
     inline = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     _assert_same_run(threaded, inline)
     _assert_same_run(crowded, inline)
+
+
+def _traced_peak(cfg):
+    """Python-heap peak of one driver call above the heap at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_multimodes(cfg)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_half_blocks_keep_two_modes(monkeypatch, degree):
+    # A half-block keeps modes n-1 and n and hands back per-mode sums, so
+    # doubling N grows the peak by less than one half-block mode.
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: None)
+    cfg = RunConfig(k=5.0, epsilon=0.1, num_samples=32, mesh_n=12, degree=degree)
+    run_multimodes(replace(cfg, num_modes=1, num_samples=1))  # builds the kept set-up
+    growth = _traced_peak(replace(cfg, num_modes=6)) - _traced_peak(replace(cfg, num_modes=3))
+    ndof = uniform_assembler(cfg.mesh_n, cfg.degree, cfg.penalties).space.ndof
+    half_block_mode = 16 * ndof * np.dtype(complex).itemsize
+    assert growth < half_block_mode
 
 
 def test_zero_epsilon_collapses_to_mode_zero():
@@ -284,7 +310,12 @@ def test_bad_phi0_snapshot_sizes_are_errors():
     for sizes, bad in (((0, 3, 9), 0), ((3, 9), 9), ((6,), 6)):
         with pytest.raises(ValueError, match=f"snapshot size {bad} lies outside 1..5"):
             run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+    for sizes, bad in (((2.5, 3), "2.5"), ((3, 2.0), "2.0"), ((True,), "True"), (("3",), "'3'")):
+        with pytest.raises(ValueError, match=f"snapshot size {bad} is not an integer"):
+            run_multimodes(cfg, phi0_snapshot_sizes=sizes)
     assert run_multimodes(cfg, phi0_snapshot_sizes=(1, 5)).phi0_snapshots.keys() == {1, 5}
+    sizes = np.array([2, 4], dtype=np.int32)
+    assert run_multimodes(cfg, phi0_snapshot_sizes=sizes).phi0_snapshots.keys() == {2, 4}
 
 
 def test_mode_rhs_update_formula():

@@ -268,6 +268,34 @@ def test_report_warns_on_coarse_mesh(tmp_path):
         assert "warning" not in fh.read()
 
 
+def _report_runs(path) -> list:
+    """The (key, value) lines of each driver run in a report.txt; a run
+    starts at its "method" line."""
+    runs = []
+    with open(path) as fh:
+        for line in fh.read().splitlines():
+            key, _, value = line.partition("=")
+            if key == "method":
+                runs.append([])
+            if runs:
+                runs[-1].append((key, value))
+    return runs
+
+
+def test_report_prints_the_mesh_condition_of_every_driver_run(tmp_path):
+    # k^3*h^2/r^2 = 27/16 at degree 1 and 27/64 at degree 2.
+    base = RunConfig(k=3.0, epsilon=0.1, num_modes=2, num_samples=4, mesh_n=4)
+    sweep = StudySpec(kind="epsilon_sweep", base=replace(base, degree=2), eps_values=(0.1, 0.2))
+    for degree, config_or_spec, runs in ((1, base, 1), (2, sweep, 4)):
+        out = os.path.join(tmp_path, f"r{degree}")
+        run_full(config_or_spec, out)
+        blocks = _report_runs(os.path.join(out, "report.txt"))
+        assert len(blocks) == runs
+        for block in blocks:
+            values = [float(v) for key, v in block if key == "mesh_condition"]
+            assert values == [27.0 / (16 * degree**2)]
+
+
 def test_run_full_tables_thread_invariant(tmp_path, monkeypatch):
     # A run on the worker pool against one with its samples run inline.
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=2, num_samples=40, mesh_n=6)
