@@ -86,10 +86,11 @@ class Assembler:
     `norm_forms` scatters the same blocks, with the norm's penalty
     weights, into the real quadratic forms of `broken_norms`; it is built
     on first use.  Point evaluation at the volume and boundary quadrature
-    points is a real sparse matrix each; their transposes are the load
-    operators.  `volume_loads`, `mass_operator` and `boundary_operator` serve the
-    multi-modes recursion: they act on a batch of coefficient vectors
-    stacked sample after sample.
+    points is a real sparse matrix each, the boundary one restricted to the
+    DOFs of the elements with a boundary edge; their transposes, stored by
+    rows, are the load operators.  `volume_loads`, `mass_operator` and
+    `add_boundary_loads` serve the multi-modes recursion: they act on a
+    batch of coefficient vectors.
     """
 
     def __init__(self, space: DGSpace, penalties: PenaltySet = PenaltySet()):
@@ -129,17 +130,9 @@ class Assembler:
 
         # Boundary-edge mass blocks.
         be = mesh.boundary_edges
-        self._be = be
         self._btrace = t.trace[be, 0]                      # (nbe, nqe, ld)
         self._bweights = mesh.edge_weights[be]
         self._bdofs = dofs[mesh.edge_elems[be, 0]]
-        # Elements with a boundary edge and the first such edge of each; a
-        # corner element's second edge, and that element's position.
-        self._bnd_elements, self._bnd_first, position = np.unique(
-            mesh.edge_elems[be, 0], return_index=True, return_inverse=True
-        )
-        self._bnd_second = np.setdiff1d(np.arange(be.size), self._bnd_first)
-        self._bnd_second_pos = position[self._bnd_second]
         shape_b = (be.size, ld, ld)
         rows_b = np.broadcast_to(self._bdofs[:, :, None], shape_b).ravel()
         cols_b = np.broadcast_to(self._bdofs[:, None, :], shape_b).ravel()
@@ -173,11 +166,16 @@ class Assembler:
         # The volume load operator, stored by rows: an entry sums its terms in
         # the same order for one sample or a batch.
         self._load_op = self._vol_eval.T.tocsr()
+        # Boundary evaluation acts only on the DOFs of the elements with a
+        # boundary edge, `_bnd_dofs` (sorted); its row-wise transpose is the
+        # boundary load operator.
+        self._bnd_dofs, columns = np.unique(self._bdofs, return_inverse=True)
         self._bnd_eval = _eval_matrix(
             self._btrace,
-            np.broadcast_to(self._bdofs[:, None, :], self._btrace.shape),
-            space.ndof,
+            np.broadcast_to(columns.reshape(be.size, 1, ld), self._btrace.shape),
+            self._bnd_dofs.size,
         )
+        self._bnd_load = self._bnd_eval.T.tocsr()
 
     # -- element and edge blocks -----------------------------------------
 
@@ -246,9 +244,9 @@ class Assembler:
         return self._build(k, alpha_v * alpha_v, alpha_b)
 
     def _check_media(self, media) -> None:
-        if media.eta_volume.shape != self._Wv.shape or media.eta_boundary.shape != (
-            self._be.size,
-            self.mesh.ref_edge_points.size,
+        if (media.eta_volume.shape, media.eta_boundary.shape) != (
+            self._Wv.shape,
+            self._bweights.shape,
         ):
             raise ValueError("media sample layout does not match this mesh")
 
@@ -275,42 +273,18 @@ class Assembler:
     # -- block operators on stacked coefficient vectors ------------------
 
     def mass_operator(self, c) -> sp.bsr_matrix:
-        """Block-diagonal matrix of (c_b u, v) over a batch of coefficients.
+        """Block-diagonal matrix of (c u, v) over a batch of coefficients.
 
         `c` has shape (nb, nel, nq).  The matrix acts on the nb coefficient
-        vectors stacked sample after sample (length nb*ndof); its blocks
-        are `_mass_blocks(c)`, one per sample and element.
+        vectors stacked sample after sample (length nb*ndof).  DOFs are
+        contiguous per element, so each of its blocks `_mass_blocks(c)`,
+        one per sample and element, is one block row.
         """
-        return self._block_diagonal(self._mass_blocks(c), np.arange(self.mesh.n_elements))
-
-    def boundary_operator(self, c) -> sp.bsr_matrix:
-        """Block-diagonal matrix of <c_b u, v> over a batch of coefficients.
-
-        `c` has shape (nb, nbe, nqe); the matrix acts on stacked
-        coefficient vectors like `mass_operator`, with one block per
-        sample and element that has a boundary edge.
-        """
-        edge_blocks = self._boundary_blocks(c)
-        blocks = edge_blocks[:, self._bnd_first]
-        # An element with two boundary edges (a corner) gets both blocks.
-        blocks[:, self._bnd_second_pos] += edge_blocks[:, self._bnd_second]
-        return self._block_diagonal(blocks, self._bnd_elements)
-
-    def _block_diagonal(self, blocks, elements) -> sp.bsr_matrix:
-        """BSR matrix on nb stacked coefficient vectors with blocks[b, p]
-        on the DOFs of element elements[p] of sample b; elements sorted.
-
-        DOFs are contiguous per element, so each element is one block row.
-        """
-        nb, ne, ld = blocks.shape[:3]
-        nel = self.mesh.n_elements
-        block_cols = (np.arange(nb)[:, None] * nel + elements).ravel()
-        row_counts = np.zeros(nb * nel + 1, dtype=np.int64)
-        row_counts[1 + block_cols] = 1
-        n = nb * nel * ld
+        blocks = self._mass_blocks(c)
+        nb, nel, ld = blocks.shape[:3]
         return sp.bsr_matrix(
-            (blocks.reshape(nb * ne, ld, ld), block_cols, np.cumsum(row_counts)),
-            shape=(n, n),
+            (blocks.reshape(nb * nel, ld, ld), np.arange(nb * nel), np.arange(nb * nel + 1)),
+            shape=(nb * nel * ld,) * 2,
         )
 
     # -- load vectors and point evaluation -------------------------------
@@ -328,7 +302,7 @@ class Assembler:
                 raise ValueError(
                     f"boundary integrand has shape {Q.shape}, expected {self._bweights.shape}"
                 )
-            b += real_product(self._bnd_eval.T, (self._bweights * Q).ravel())
+            b[self._bnd_dofs] += real_product(self._bnd_load, (self._bweights * Q).ravel())
         return b
 
     def volume_loads(self, S) -> np.ndarray:
@@ -343,13 +317,27 @@ class Assembler:
             return real_product(self._load_op, WS)
         return (self._load_op @ WS).astype(complex)
 
+    def add_boundary_loads(self, out, c, u) -> None:
+        """Add the boundary loads <c u, v> of a batch to `out`, in place.
+
+        `u` and `out` hold nb coefficient vectors, shape (nb, ndof), and
+        `c` their coefficients at the boundary-edge quadrature points,
+        shape (nb, nbe, nqe): row b gains `rhs`'s boundary term for
+        Q = c[b] * eval_boundary(u[b]), up to rounding.  Only the DOFs of
+        the elements with a boundary edge change.
+        """
+        traces = real_product(self._bnd_eval, u[:, self._bnd_dofs].T)
+        data = (self._bweights * c).reshape(len(c), -1).T * traces
+        out[:, self._bnd_dofs] += real_product(self._bnd_load, data).T
+
     def eval_volume(self, coefficients) -> np.ndarray:
         """Values of a DG coefficient vector at all volume quadrature points."""
         return real_product(self._vol_eval, coefficients).reshape(self._Wv.shape)
 
     def eval_boundary(self, coefficients) -> np.ndarray:
         """Trace values at all boundary-edge quadrature points."""
-        return real_product(self._bnd_eval, coefficients).reshape(self._bweights.shape)
+        values = real_product(self._bnd_eval, np.asarray(coefficients)[self._bnd_dofs])
+        return values.reshape(self._bweights.shape)
 
 
 def _eval_matrix(values: np.ndarray, columns: np.ndarray, ncols: int) -> sp.csr_matrix:

@@ -33,6 +33,14 @@ from .space import DGFunction
 __all__ = ["RunConfig", "RunResult", "run_multimodes", "mode_rhs_update"]
 
 
+def _integer(value, name) -> int:
+    """`value` as an int; ValueError naming it unless it is an integer
+    (numpy's included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one Monte Carlo run."""
@@ -53,6 +61,8 @@ class RunConfig:
             raise ValueError("k must be positive and finite")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
+        for name in ("num_modes", "num_samples", "mesh_n", "degree"):
+            _integer(getattr(self, name), name)
         if self.num_modes < 1 or self.num_samples < 1:
             raise ValueError("N and M must be at least 1")
         if self.mesh_n < 1 or self.degree < 1:
@@ -95,17 +105,18 @@ class RunResult:
         return self.psi_truncated(len(self.phis))
 
 
-def mode_rhs_update(u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: float):
+def mode_rhs_update(asm, u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: float):
     """Source data for the next mode from the previous two.
 
     Returns (S, Q) with S = 2k^2*eta*u_n + k^2*eta^2*u_prev at volume
-    quadrature points and Q = -i*k*eta*u_n at boundary quadrature points.
-    The point evaluations come from the kept set-up (`uniform_assembler`)
-    of the space's mesh size and degree, with the default penalties.
+    quadrature points and Q = -i*k*eta*u_n at boundary quadrature points,
+    evaluated by the Assembler `asm`, which must be built on the modes'
+    space.
     """
+    if u_n.space is not asm.space:
+        raise ValueError("mode functions do not live on the assembler's space")
     if u_prev.space is not u_n.space:
         raise ValueError("mode functions live on different spaces")
-    asm = uniform_assembler(u_n.space.mesh.n, u_n.space.degree, PenaltySet())
     k2 = k * k
     uq = asm.eval_volume(u_n.coefficients)
     upq = asm.eval_volume(u_prev.coefficients)
@@ -126,13 +137,16 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapsho
     gets what per-sample solves would give (`mode_rhs_update`).
 
     The recursion runs in coefficient space.  The load of mode n+1 is
-    2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v): one
-    block-diagonal operator per term, built once per half-block from its
-    media and applied to the previous two modes, which are stored sample
-    after sample.  Only those two modes are kept: each mode is reduced
-    here as soon as it is solved.  Between the solves there are only
-    sparse products and elementwise operations: a threaded dense BLAS
-    call here would compete with the other half-blocks for the cores.
+    2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v).  Each
+    volume term is one block-diagonal operator, built once per half-block
+    from its media and applied to the previous two modes, which are stored
+    sample after sample.  The boundary term is added in place on the DOFs
+    of the elements with a boundary edge (`add_boundary_loads`), through
+    the evaluation matrix that `rhs` uses.  Only those two modes are kept:
+    each mode is reduced here as soon as it is solved.  Between the solves
+    there are only sparse products and elementwise operations: a threaded
+    dense BLAS call here would compete with the other half-blocks for the
+    cores.
 
     Returns what the calling thread reads, so that this can run on any
     thread: the per-mode sums over the half-block's samples, shape
@@ -153,7 +167,7 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapsho
     N = config.num_modes
     if N > 1:
         current = asm.mass_operator((2.0 * k2) * eta)
-        boundary = asm.boundary_operator((-1j * k) * eta_b)
+        boundary = (-1j * k) * eta_b
     if N > 2:
         previous = asm.mass_operator(k2 * (eta * eta))
     del eta, eta_b
@@ -163,11 +177,11 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapsho
     prefixes = {}
     for n in range(N):
         if n > 0:
-            rhs = real_product(current, u.ravel())
-            rhs += boundary @ u.ravel()
+            rhs = real_product(current, u.ravel()).reshape(nb, ndof)
+            asm.add_boundary_loads(rhs, boundary, u)
             if n > 1:
-                rhs += real_product(previous, u_prev.ravel())
-            rhs = rhs.reshape(nb, ndof).T
+                rhs += real_product(previous, u_prev.ravel()).reshape(nb, ndof)
+            rhs = rhs.T
             u_prev = u  # u_{n-2} is no longer needed
         if refactor:
             factors = lu_factorize(system, counters)
@@ -191,9 +205,7 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapsho
 def _snapshot_size(m, M) -> int:
     """A `phi0_snapshot_sizes` entry as an int; ValueError unless it is an
     integer (numpy's included, bool not) in 1..M."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"phi0 snapshot size {m!r} is not an integer")
-    size = int(m)
+    size = _integer(m, "phi0 snapshot size")
     if not 1 <= size <= M:
         raise ValueError(f"phi0 snapshot size {size} lies outside 1..{M}")
     return size

@@ -185,6 +185,8 @@ class StudySpec:
                 raise ValueError(f"{name} must be sorted ascending")
         if self.m_values and self.m_values[0] < 1:
             raise ValueError(f"M_values must be at least 1, got {self.m_values[0]}")
+        if self.m_ref is not None and self.m_ref < 1:
+            raise ValueError(f"M_ref must be at least 1, got {self.m_ref}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudySpec":
@@ -299,7 +301,7 @@ def run_m_scaling(spec: StudySpec) -> dict:
     """
     if not spec.m_values:
         raise ValueError("m_values must be nonempty")
-    m_ref = spec.m_ref or 16 * max(spec.m_values)
+    m_ref = 16 * max(spec.m_values) if spec.m_ref is None else spec.m_ref
     if m_ref <= max(spec.m_values):
         raise ValueError("M_ref must exceed every M in the list")
     cfg = replace(spec.base, num_modes=1, num_samples=m_ref)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from randhelm import (
     DGSpace,
@@ -137,8 +138,9 @@ def test_eval_volume_and_boundary_roundtrip(space4, rng):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_block_operators_match_quadrature_loads(degree, rng):
     # Loads of c*u built at the quadrature points, sample by sample, must
-    # equal the block-diagonal operators applied to the stacked samples.
-    # On n=3 the corner elements carry two boundary edges each.
+    # equal the block-diagonal mass operator applied to the stacked samples
+    # and the boundary loads added in place.  On n=3 the corner elements
+    # carry two boundary edges each.
     mesh = build_uniform_mesh(3)
     space = DGSpace(mesh, degree)
     asm = get_assembler(space)
@@ -147,12 +149,37 @@ def test_block_operators_match_quadrature_loads(degree, rng):
     c = rng.standard_normal((nb,) + mesh.volume_weights.shape)
     cb = rng.standard_normal((nb, mesh.boundary_edges.size, mesh.ref_edge_points.size))
     vol = (asm.mass_operator(c) @ u.ravel()).reshape(nb, -1)
-    bnd = (asm.boundary_operator(1j * cb) @ u.ravel()).reshape(nb, -1)
+    start = rng.standard_normal((nb, space.ndof)) + 0j
+    bnd = start.copy()
+    asm.add_boundary_loads(bnd, 1j * cb, u)
     zero = np.zeros(mesh.volume_weights.shape)
     for b in range(nb):
         assert np.allclose(vol[b], asm.rhs(c[b] * asm.eval_volume(u[b])), atol=1e-14)
-        expect = asm.rhs(zero, 1j * cb[b] * asm.eval_boundary(u[b]))
+        expect = start[b] + asm.rhs(zero, 1j * cb[b] * asm.eval_boundary(u[b]))
         assert np.allclose(bnd[b], expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, degree", [(3, 1), (3, 2), (7, 3)])
+def test_boundary_loads_and_traces_match_full_evaluation_matrix(n, degree, rng):
+    # `rhs`'s boundary term and `eval_boundary` act only on the DOFs of the
+    # elements with a boundary edge.  Both must equal, bit for bit, the
+    # products with a full-length evaluation matrix, which sum each entry
+    # in the same order.
+    mesh = build_uniform_mesh(n)
+    asm = get_assembler(DGSpace(mesh, degree))
+    ndof, (nbe, nqe, ld) = asm.space.ndof, asm._btrace.shape
+    columns = np.broadcast_to(asm._bdofs[:, None, :], asm._btrace.shape)
+    full = sp.csr_matrix(
+        (asm._btrace.ravel(), columns.ravel(), np.arange(0, asm._btrace.size + 1, ld)),
+        shape=(nbe * nqe, ndof),
+    )
+    S = rng.standard_normal(mesh.volume_weights.shape)
+    Q = rng.standard_normal((nbe, nqe)) + 1j * rng.standard_normal((nbe, nqe))
+    expected = asm.rhs(S) + real_product(full.T, (asm._bweights * Q).ravel())
+    assert asm.rhs(S, Q).tobytes() == expected.tobytes()
+    for u in (rng.standard_normal(ndof) + 1j * rng.standard_normal(ndof), np.ones(ndof)):
+        expected = real_product(full, u).reshape(nbe, nqe)
+        assert asm.eval_boundary(u).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -181,21 +208,3 @@ def test_volume_loads_match_per_sample_rhs(degree, source, nb):
         assert loads[:, b].tobytes() == transposed.tobytes()
     with pytest.raises(ValueError):
         asm.volume_loads(eta[:, :-1])
-
-
-@pytest.mark.parametrize("degree", [1, 2])
-def test_boundary_operator_matches_scattered_blocks(degree, rng):
-    # Corner elements (n=3) carry two boundary edges; their blocks must be
-    # summed exactly as an unbuffered scatter-add of the edge blocks does.
-    mesh = build_uniform_mesh(3)
-    asm = get_assembler(DGSpace(mesh, degree))
-    cb = rng.standard_normal((4, mesh.boundary_edges.size, mesh.ref_edge_points.size))
-    edge_blocks = asm._boundary_blocks(-1j * cb)
-    elements, position = np.unique(mesh.edge_elems[mesh.boundary_edges, 0], return_inverse=True)
-    assert elements.size < mesh.boundary_edges.size
-    blocks = np.zeros((4, elements.size) + edge_blocks.shape[2:], complex)
-    np.add.at(blocks, (slice(None), position), edge_blocks)
-    expected = asm._block_diagonal(blocks, elements)
-    got = asm.boundary_operator(-1j * cb)
-    for attr in ("data", "indices", "indptr"):
-        assert getattr(got, attr).tobytes() == getattr(expected, attr).tobytes()

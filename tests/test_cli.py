@@ -88,6 +88,14 @@ def test_study_rejects_m_values_below_one(tmp_path, capsys):
     assert "error: M_values must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_study_rejects_m_ref_below_one(tmp_path, capsys):
+    cfg = _write_config(
+        os.path.join(tmp_path, "c.txt"), study="m_scaling", M_values="2,4", M_ref="0"
+    )
+    assert main(["study", "--config", cfg, "--out", os.path.join(tmp_path, "bad")]) == 1
+    assert "error: M_ref must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_study_requires_study_key(tmp_path, capsys):
     cfg = _write_config(os.path.join(tmp_path, "c.txt"))
     out = os.path.join(tmp_path, "bad")

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import tracemalloc
 import weakref
@@ -46,7 +47,7 @@ def _reference_modes(cfg):
         for n in range(N):
             u = DGFunction(space, lu_solve(factors, asm.rhs(S, Q)))
             modes[n, j] = u.coefficients
-            S, Q = mode_rhs_update(u, u_prev, media, cfg.k)
+            S, Q = mode_rhs_update(asm, u, u_prev, media, cfg.k)
             u_prev = u
     return modes
 
@@ -327,7 +328,7 @@ def test_mode_rhs_update_formula():
     u_prev = DGFunction(space, gen.standard_normal(space.ndof) * (1.0 - 0.25j))
     media = sample_media(mesh, NoiseSpec(seed=2), 0)
     k = 5.0
-    S, Q = mode_rhs_update(u_n, u_prev, media, k)
+    S, Q = mode_rhs_update(asm, u_n, u_prev, media, k)
     uq = asm.eval_volume(u_n.coefficients)
     upq = asm.eval_volume(u_prev.coefficients)
     S_ref = 2.0 * k**2 * media.eta_volume * uq + k**2 * media.eta_volume**2 * upq
@@ -335,8 +336,22 @@ def test_mode_rhs_update_formula():
     assert np.allclose(S, S_ref, atol=1e-13)
     assert np.allclose(Q, Q_ref, atol=1e-13)
     other = DGFunction.zero(DGSpace(build_uniform_mesh(4), 1))
-    with pytest.raises(ValueError):
-        mode_rhs_update(u_n, other, media, k)
+    with pytest.raises(ValueError, match="different spaces"):
+        mode_rhs_update(asm, u_n, other, media, k)
+    with pytest.raises(ValueError, match="the assembler's space"):
+        mode_rhs_update(asm, other, other, media, k)
+
+
+def test_mode_rhs_update_leaves_the_kept_set_up_alone():
+    # The oracle evaluates with the assembler it is given, so a driver's
+    # kept set-up with other penalties survives it.
+    cfg = RunConfig(num_modes=2, num_samples=2, mesh_n=4, penalties=PenaltySet(gamma0=5.0))
+    run_multimodes(cfg)
+    asm = get_assembler(DGSpace(build_uniform_mesh(4), 1))
+    u = DGFunction(asm.space, np.ones(asm.space.ndof, dtype=complex))
+    before = uniform_assembler.cache_info()
+    mode_rhs_update(asm, u, u, sample_media(asm.mesh, cfg.noise, 0), cfg.k)
+    assert uniform_assembler.cache_info() == before
 
 
 def test_config_validation():
@@ -352,6 +367,12 @@ def test_config_validation():
         RunConfig(mesh_n=0)
     with pytest.raises(ValueError):
         RunConfig(c0_hint=0.0)
+    # Counts must be integers (numpy's too, bool not), named when they are not.
+    for name in ("num_modes", "num_samples", "mesh_n", "degree"):
+        for bad in (2.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"{name} {bad!r} is not an integer")):
+                RunConfig(**{name: bad})
+        assert getattr(RunConfig(**{name: np.int64(2)}), name) == 2
     # Non-finite values fail here, not later as a singular matrix.
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):

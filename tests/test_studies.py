@@ -144,6 +144,9 @@ def test_study_spec_validation():
     for m_values in ((0, 4), (-3, 4)):
         with pytest.raises(ValueError, match=f"M_values must be at least 1, got {m_values[0]}"):
             StudySpec(kind="m_scaling", base=base, m_values=m_values)
+    for m_ref in (0, -5):
+        with pytest.raises(ValueError, match=f"M_ref must be at least 1, got {m_ref}"):
+            StudySpec(kind="m_scaling", base=base, m_values=(2, 4), m_ref=m_ref)
 
 
 def test_study_spec_from_dict():
