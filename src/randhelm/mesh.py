@@ -79,11 +79,9 @@ class TriMesh:
     boundary_edges: np.ndarray
     # Quadrature geometry (physical points and weights).
     ref_volume_points: np.ndarray   # (nq, 2)
-    ref_volume_weights: np.ndarray  # (nq,)
     volume_points: np.ndarray       # (nel, nq, 2)
     volume_weights: np.ndarray      # (nel, nq)
     ref_edge_points: np.ndarray     # (nqe,)
-    ref_edge_weights: np.ndarray    # (nqe,)
     edge_points: np.ndarray         # (ne, nqe, 2)
     edge_weights: np.ndarray        # (ne, nqe)
 
@@ -129,17 +127,13 @@ def build_uniform_mesh(n: int) -> TriMesh:
     ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
     vertices = np.column_stack([(-0.5 + h * ix).ravel(), (-0.5 + h * iy).ravel()])
 
-    def vid(cx, cy):
-        return cy * (n + 1) + cx
-
-    elements = np.empty((2 * n * n, 3), dtype=np.int64)
-    for cy in range(n):
-        for cx in range(n):
-            v00, v10 = vid(cx, cy), vid(cx + 1, cy)
-            v01, v11 = vid(cx, cy + 1), vid(cx + 1, cy + 1)
-            e = 2 * (cy * n + cx)
-            elements[e] = (v00, v10, v11)      # lower triangle
-            elements[e + 1] = (v00, v11, v01)  # upper triangle
+    # Corner vertex ids of each cell, row-major: v00 = cy * (n + 1) + cx.
+    cells = np.arange(n, dtype=np.int64)
+    v00 = (cells[:, None] * (n + 1) + cells).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    lower = np.column_stack([v00, v10, v11])
+    upper = np.column_stack([v00, v11, v01])
+    elements = np.stack([lower, upper], axis=1).reshape(-1, 3)
 
     p0 = vertices[elements[:, 0]]
     d1 = vertices[elements[:, 1]] - p0
@@ -153,28 +147,18 @@ def build_uniform_mesh(n: int) -> TriMesh:
     jac_inv[:, 1, 0] = -jac[:, 1, 0] / det
     jac_inv[:, 1, 1] = jac[:, 0, 0] / det
 
-    # Collect edges in order of first appearance over the element loop.
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_verts: list[tuple[int, int]] = []
-    edge_adj: list[list[int]] = []
-    for e in range(elements.shape[0]):
-        a, b, c = elements[e]
-        for va, vb in ((a, b), (b, c), (c, a)):
-            key = (min(va, vb), max(va, vb))
-            idx = edge_index.get(key)
-            if idx is None:
-                edge_index[key] = len(edge_verts)
-                edge_verts.append(key)
-                edge_adj.append([e])
-            else:
-                edge_adj[idx].append(e)
-
-    ne = len(edge_verts)
-    edge_vertices = np.array(edge_verts, dtype=np.int64)
-    edge_elems = np.full((ne, 2), -1, dtype=np.int64)
-    for i, adj in enumerate(edge_adj):
-        adj.sort()
-        edge_elems[i, : len(adj)] = adj
+    # Edges in order of first appearance over the sides (a, b), (b, c),
+    # (c, a) of each element in label order, as sorted vertex pairs.  The
+    # first side of an edge belongs to the smaller label, a second to the
+    # larger; boundary edges have no second side and keep -1.
+    sides = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    pairs, first, inverse = np.unique(sides, axis=0, return_index=True, return_inverse=True)
+    last = np.zeros_like(first)
+    # reshape: numpy 2.0.0 returns `inverse` as a column.
+    np.maximum.at(last, inverse.reshape(-1), np.arange(sides.shape[0]))
+    order = np.argsort(first)
+    edge_vertices = pairs[order]
+    edge_elems = np.column_stack([first // 3, np.where(last > first, last // 3, -1)])[order]
 
     pa = vertices[edge_vertices[:, 0]]
     pb = vertices[edge_vertices[:, 1]]
@@ -216,11 +200,9 @@ def build_uniform_mesh(n: int) -> TriMesh:
         interior_edges=interior,
         boundary_edges=boundary,
         ref_volume_points=ref_vp,
-        ref_volume_weights=ref_vw,
         volume_points=volume_points,
         volume_weights=volume_weights,
         ref_edge_points=ref_ep,
-        ref_edge_weights=ref_ew,
         edge_points=edge_pts,
         edge_weights=edge_weights,
     )

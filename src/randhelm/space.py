@@ -2,14 +2,15 @@
 
 DGSpace represents the discontinuous space of piecewise P_r polynomials
 with a nodal Lagrange basis on the barycentric lattice of each element.
-Basis functions are stored as bivariate monomial coefficient grids on the
-reference triangle, which makes values, gradients, and arbitrary-order
-directional derivatives (needed for the normal-derivative jump penalties)
-cheap to evaluate.
+The basis is stored as one array of bivariate monomial coefficients on
+the reference triangle, so numpy's polynomial functions give values,
+gradients, and arbitrary-order directional derivatives (needed for the
+normal-derivative jump penalties) of every basis function at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -18,20 +19,6 @@ from numpy.polynomial import polynomial as npoly
 from .mesh import TriMesh
 
 __all__ = ["DGSpace", "DGFunction"]
-
-
-def _poly_dx(c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(c)
-    if c.shape[0] > 1:
-        out[:-1, :] = c[1:, :] * np.arange(1, c.shape[0])[:, None]
-    return out
-
-
-def _poly_dy(c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(c)
-    if c.shape[1] > 1:
-        out[:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
-    return out
 
 
 class DGSpace:
@@ -52,92 +39,54 @@ class DGSpace:
         self.ndof = mesh.n_elements * self.local_dim
 
         # Barycentric lattice nodes and matching monomial exponents.
-        nodes, exps = [], []
-        for a in range(r + 1):
-            for b in range(r + 1 - a):
-                nodes.append((a / r, b / r))
-                exps.append((a, b))
-        self.nodes = np.array(nodes)
-        self._exps = exps
-
-        vander = np.empty((self.local_dim, self.local_dim))
-        for m, (a, b) in enumerate(exps):
-            vander[:, m] = self.nodes[:, 0] ** a * self.nodes[:, 1] ** b
-        coef = np.linalg.inv(vander)  # column i: monomial coeffs of basis i
-
-        # Dense (r+1, r+1) coefficient grid per basis function.
-        self._coef_grids = []
-        for i in range(self.local_dim):
-            grid = np.zeros((r + 1, r + 1))
-            for m, (a, b) in enumerate(exps):
-                grid[a, b] = coef[m, i]
-            self._coef_grids.append(grid)
-        self._partials: dict[tuple[int, int], list[np.ndarray]] = {
-            (0, 0): self._coef_grids
-        }
+        exps = [(a, b) for a in range(r + 1) for b in range(r + 1 - a)]
+        self.nodes = np.array(exps) / r
+        # One column per monomial, with scalar exponents: an array of
+        # exponents rounds differently and moves the coefficients.
+        vander = np.column_stack([self.nodes[:, 0] ** a * self.nodes[:, 1] ** b for a, b in exps])
+        # _coef[a, b, i]: coefficient of x^a y^b in basis function i.
+        self._coef = np.zeros((r + 1, r + 1, self.local_dim))
+        self._coef[tuple(np.transpose(exps))] = np.linalg.inv(vander)
 
         self.dofs = np.arange(self.ndof, dtype=np.int64).reshape(
             mesh.n_elements, self.local_dim
         )
-        self._tables = None
 
     # -- reference-element evaluation ------------------------------------
 
-    def _partial_grids(self, a: int, b: int) -> list[np.ndarray]:
-        key = (a, b)
-        if key not in self._partials:
-            if a > 0:
-                prev = self._partial_grids(a - 1, b)
-                self._partials[key] = [_poly_dx(c) for c in prev]
-            else:
-                prev = self._partial_grids(a, b - 1)
-                self._partials[key] = [_poly_dy(c) for c in prev]
-        return self._partials[key]
+    def _derivative(self, points, a: int, b: int) -> np.ndarray:
+        """(d/dx)^a (d/dy)^b of every local basis function at reference
+        points, shape (npts, local_dim)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        c = npoly.polyder(npoly.polyder(self._coef, b, axis=1), a, axis=0)
+        # polyval2d puts the basis axis first.  The tables, and the sums
+        # over them, follow the memory order, so hand back C order.
+        return np.ascontiguousarray(npoly.polyval2d(pts[:, 0], pts[:, 1], c).T)
 
     def basis_values(self, points) -> np.ndarray:
         """Values of all local basis functions at reference points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.local_dim))
-        for i, c in enumerate(self._coef_grids):
-            out[:, i] = npoly.polyval2d(pts[:, 0], pts[:, 1], c)
-        return out
+        return self._derivative(points, 0, 0)
 
     def basis_gradients(self, points) -> np.ndarray:
         """Reference gradients, shape (npts, local_dim, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.local_dim, 2))
-        for i in range(self.local_dim):
-            out[:, i, 0] = npoly.polyval2d(
-                pts[:, 0], pts[:, 1], self._partial_grids(1, 0)[i]
-            )
-            out[:, i, 1] = npoly.polyval2d(
-                pts[:, 0], pts[:, 1], self._partial_grids(0, 1)[i]
-            )
-        return out
+        return np.stack([self._derivative(points, 1, 0), self._derivative(points, 0, 1)], axis=-1)
 
     def basis_directional(self, points, dirs, order: int) -> np.ndarray:
         """(d . grad)^order of every basis function, per-point direction d.
 
         `dirs` holds the (reference-coordinate) direction for each point.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        out = np.zeros((pts.shape[0], self.local_dim))
-        for a in range(order + 1):
-            b = order - a
-            factor = comb(order, a) * dirs[:, 0] ** a * dirs[:, 1] ** b
-            grids = self._partial_grids(a, b)
-            for i in range(self.local_dim):
-                out[:, i] += factor * npoly.polyval2d(pts[:, 0], pts[:, 1], grids[i])
-        return out
+        return sum(
+            (comb(order, a) * dirs[:, 0] ** a * dirs[:, 1] ** (order - a))[:, None]
+            * self._derivative(points, a, order - a)
+            for a in range(order + 1)
+        )
 
-    # -- cached evaluation tables ----------------------------------------
-
-    @property
+    @cached_property
     def tables(self) -> "_Tables":
-        if self._tables is None:
-            self._tables = _Tables(self)
-        return self._tables
+        """Basis evaluations on the mesh quadrature layout, built on first use."""
+        return _Tables(self)
 
 
 class _Tables:

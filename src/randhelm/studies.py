@@ -17,7 +17,7 @@ import numpy as np
 from .assembly import PenaltySet, uniform_assembler
 from .classical import compare_fields, run_classical
 from .linalg import lu_factorize, lu_solve
-from .multimodes import RunConfig, RunResult, run_multimodes
+from .multimodes import RunConfig, RunResult, _integer, run_multimodes
 from .sources import source_volume
 from .space import DGFunction
 
@@ -179,14 +179,16 @@ class StudySpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
+        for key in ("mesh_sizes", "M_values", "N_values"):
+            for value in getattr(self, _STUDY_KEYS[key][0]):
+                if _integer(value, key) < 1:
+                    raise ValueError(f"{key} must be at least 1, got {value}")
+        if self.m_ref is not None and _integer(self.m_ref, "M_ref") < 1:
+            raise ValueError(f"M_ref must be at least 1, got {self.m_ref}")
         for name in ("mesh_sizes", "m_values", "n_values", "eps_values"):
             vals = getattr(self, name)
             if list(vals) != sorted(vals):
                 raise ValueError(f"{name} must be sorted ascending")
-        if self.m_values and self.m_values[0] < 1:
-            raise ValueError(f"M_values must be at least 1, got {self.m_values[0]}")
-        if self.m_ref is not None and self.m_ref < 1:
-            raise ValueError(f"M_ref must be at least 1, got {self.m_ref}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudySpec":

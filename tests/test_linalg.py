@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +15,8 @@ from randhelm import (
     lu_factorize,
     lu_solve,
 )
-from randhelm.linalg import single_blas_thread, solves_are_pinned
+import randhelm.linalg as linalg
+from randhelm.linalg import sample_workers, single_blas_thread, solves_are_pinned
 
 
 def test_two_by_two_oracle():
@@ -126,3 +130,44 @@ def test_factors_of_different_operators_give_different_solutions():
     assert not np.allclose(lu_solve(f1, b), lu_solve(f2, b))
     assert f1.dimension == space.ndof
     assert f1.nnz > 0
+
+
+def _sample_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("randhelm-sample")]
+
+
+@pytest.mark.parametrize("workers", [3, None])
+def test_sample_workers_give_results_in_item_order(monkeypatch, workers):
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: workers)
+    finished = []
+
+    def run(i):
+        time.sleep(0.05 * (4 - i))  # item 0 sleeps longest
+        finished.append(i)
+        return i * i
+
+    counters = SolverCounters()
+    with sample_workers(counters) as in_sample_order:
+        assert list(in_sample_order(run, range(5))) == [0, 1, 4, 9, 16]
+    if workers is not None:
+        assert finished[0] != 0  # the items did finish out of order
+    assert {"sample_loop", "sample_loop_cpu"} <= counters.seconds.keys()
+    assert not _sample_threads()
+
+
+@pytest.mark.parametrize("workers", [3, None])
+def test_sample_workers_raise_an_item_error_in_the_caller(monkeypatch, workers):
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: workers)
+
+    def run(i):
+        if i == 2:
+            raise FloatingPointError(f"item {i} failed")
+        return i
+
+    seen = []
+    with pytest.raises(FloatingPointError, match="item 2 failed"):
+        with sample_workers(SolverCounters()) as in_sample_order:
+            for i in in_sample_order(run, range(8)):
+                seen.append(i)
+    assert seen == [0, 1]
+    assert not _sample_threads()

@@ -141,3 +141,37 @@ def test_mesh_is_deterministic():
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.elements, b.elements)
     assert np.array_equal(a.edge_normal, b.edge_normal)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_elements_and_edges_match_a_per_side_loop(n):
+    # The operator's summation order follows the edge numbering, so the
+    # layout is pinned here against a plain loop over cells and sides.
+    mesh = build_uniform_mesh(n)
+    elements = []
+    for cy in range(n):
+        for cx in range(n):
+            v00 = cy * (n + 1) + cx
+            v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+            elements += [[v00, v10, v11], [v00, v11, v01]]
+    assert mesh.elements.dtype == np.int64
+    assert mesh.elements.tolist() == elements
+
+    index, verts, adj = {}, [], []
+    for e, (a, b, c) in enumerate(elements):
+        for side in ((a, b), (b, c), (c, a)):
+            key = tuple(sorted(side))
+            if key in index:
+                adj[index[key]][1] = e
+            else:
+                index[key] = len(verts)
+                verts.append(list(key))
+                adj.append([e, -1])
+    assert mesh.edge_vertices.tolist() == verts
+    assert mesh.edge_elems.tolist() == adj
+    assert mesh.edge_vertices.dtype == mesh.edge_elems.dtype == np.int64
+    assert np.all(mesh.edge_vertices[:, 0] < mesh.edge_vertices[:, 1])
+    ie, be = mesh.interior_edges, mesh.boundary_edges
+    assert np.all(mesh.edge_elems[ie, 0] < mesh.edge_elems[ie, 1])
+    assert np.all(mesh.edge_elems[be, 1] == -1)
+    assert be.tolist() == [i for i, (_, k) in enumerate(adj) if k == -1]

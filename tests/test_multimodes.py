@@ -1,6 +1,7 @@
 import gc
 import re
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -379,3 +380,22 @@ def test_config_validation():
             RunConfig(k=bad)
         with pytest.raises(ValueError):
             RunConfig(c0_hint=bad)
+
+
+@pytest.mark.parametrize("workers", [3, None])
+def test_nonfinite_mode_is_an_error(monkeypatch, workers):
+    import randhelm.multimodes
+
+    solve = randhelm.multimodes.lu_solve
+
+    def nan_from_mode_2(factors, b, counters):
+        # A half-block's own counters have seen modes 0 and 1 solved.
+        x = solve(factors, b, counters)
+        return x if counters.solves <= 2 * b.shape[1] else np.full_like(x, np.nan)
+
+    monkeypatch.setattr(randhelm.multimodes, "lu_solve", nan_from_mode_2)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: workers)
+    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=40, mesh_n=4)
+    with pytest.raises(FloatingPointError, match=r"nonfinite values in mode 2 of block range\(0, 16\)"):
+        run_multimodes(cfg)
+    assert not [t for t in threading.enumerate() if t.name.startswith("randhelm-sample")]

@@ -11,6 +11,7 @@ from randhelm import (
     build_uniform_mesh,
     get_assembler,
 )
+import randhelm.space
 from randhelm.assembly import uniform_assembler
 
 
@@ -166,3 +167,44 @@ def test_norms_reject_invalid_penalties(space4):
     f = DGFunction.zero(space4)
     with pytest.raises(ValueError):
         broken_norms(f, PenaltySet(gamma0=0.0))
+
+
+def test_degree_below_one_rejected(mesh4):
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            DGSpace(mesh4, degree)
+
+
+def test_tables_built_once_per_space(mesh4, monkeypatch):
+    built = []
+    tables = randhelm.space._Tables
+    monkeypatch.setattr(randhelm.space, "_Tables", lambda space: built.append(space) or tables(space))
+    space = DGSpace(mesh4, 2)
+    first = space.tables
+    assert space.tables is first
+    assert built == [space]
+    other = DGSpace(mesh4, 2)
+    assert other.tables is not first
+    assert built == [space, other]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_basis_evaluations_are_c_contiguous(mesh4, degree, rng):
+    # The operator's and the norms' last bits depend on the memory order
+    # of these arrays, so they are pinned to C order.
+    space = DGSpace(mesh4, degree)
+    pts = 0.5 * rng.random((7, 2))
+    dirs = rng.standard_normal((7, 2))
+    ld = space.local_dim
+    outputs = [
+        (space.basis_values(pts), (7, ld)),
+        (space.basis_values(pts[0]), (1, ld)),
+        (space.basis_gradients(pts), (7, ld, 2)),
+        *((space.basis_directional(pts, dirs, j), (7, ld)) for j in range(degree + 2)),
+    ]
+    for out, shape in outputs:
+        assert out.shape == shape
+        assert out.flags.c_contiguous
+    t = space.tables
+    for table in (t.B, t.Gphys, t.trace, t.trace_dt, *t.trace_dn.values()):
+        assert table.flags.c_contiguous

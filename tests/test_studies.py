@@ -144,9 +144,34 @@ def test_study_spec_validation():
     for m_values in ((0, 4), (-3, 4)):
         with pytest.raises(ValueError, match=f"M_values must be at least 1, got {m_values[0]}"):
             StudySpec(kind="m_scaling", base=base, m_values=m_values)
+    for key, name in (("mesh_sizes", "mesh_sizes"), ("N_values", "n_values")):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1, got 0"):
+            StudySpec(kind="compare", base=base, **{name: (0, 4)})
     for m_ref in (0, -5):
         with pytest.raises(ValueError, match=f"M_ref must be at least 1, got {m_ref}"):
             StudySpec(kind="m_scaling", base=base, m_values=(2, 4), m_ref=m_ref)
+    for key, sweep in (
+        ("mesh_sizes", {"mesh_sizes": (4.5, 8)}),
+        ("M_values", {"m_values": (2.5, 4)}),
+        ("M_values", {"m_values": (True, 4)}),
+        ("N_values", {"n_values": (1, 2.5)}),
+        ("M_ref", {"m_values": (2, 4), "m_ref": 64.5}),
+    ):
+        with pytest.raises(ValueError, match=f"^{key} .* is not an integer$"):
+            StudySpec(kind="m_scaling", base=base, **sweep)
+    spec = StudySpec(
+        kind="m_scaling", base=base, mesh_sizes=(np.int32(4),), m_values=(np.int64(2), 4),
+        n_values=(np.int64(1),), m_ref=np.int64(64),
+    )
+    assert spec.m_ref == 64
+
+
+def test_studies_reject_empty_sweeps():
+    base = RunConfig(k=5.0, mesh_n=4)
+    with pytest.raises(ValueError, match="mesh_sizes must be nonempty"):
+        run_manufactured_convergence(StudySpec(kind="manufactured_convergence", base=base))
+    with pytest.raises(ValueError, match="m_values must be nonempty"):
+        run_m_scaling(StudySpec(kind="m_scaling", base=base))
 
 
 def test_study_spec_from_dict():
