@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,14 +74,16 @@ class Assembler:
 
     The only builder of element and edge blocks: stiffness, mass,
     boundary mass, the interior-edge consistency fluxes and the jump
-    penalties.  The row and column indices and all coefficient-independent
-    blocks are built once; a constant or variable operator then takes
-    fresh mass and boundary values and one COO-to-CSC conversion, which
-    sorts and sums the entries again for every operator.  Most of the
+    penalties.  The coefficient-independent blocks and the operator's CSC
+    pattern are built once: the pattern records the order in which
+    scipy's COO-to-CSC conversion sums each entry's terms, and keeps the
+    sums of the terms that come before the first mass or boundary term.
+    A constant or variable operator then takes fresh mass and boundary
+    values and fills that pattern in place, bit for bit as the conversion
+    would (see `_CSCPattern`); no COO triplets are kept.  Most of the
     classical baseline's cost difference from the multi-modes method is
-    one `splu` factorization per sample; that conversion and, in
-    `lu_factorize`, the U diagonal for the pivot check are paid per sample
-    on top of it.
+    one `splu` factorization per sample; the fill and, in `lu_factorize`,
+    the U diagonal for the pivot check are paid per sample on top of it.
 
     `norm_forms` scatters the same blocks, with the norm's penalty
     weights, into the real quadratic forms of `broken_norms`; it is built
@@ -103,9 +105,7 @@ class Assembler:
         dofs = space.dofs
 
         # Element blocks (stiffness and mass share indices).
-        stiff = np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, t.Gphys, t.Gphys)
-        rows_el = np.broadcast_to(dofs[:, :, None], stiff.shape).ravel()
-        cols_el = np.broadcast_to(dofs[:, None, :], stiff.shape).ravel()
+        self._stiff = np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, t.Gphys, t.Gphys)
 
         # Interior-edge blocks on the stacked (K, K') DOF pair.
         ie = mesh.interior_edges
@@ -121,39 +121,33 @@ class Assembler:
         self._jump_n = [jump(t.trace_dn[j]) for j in range(1, r + 1)]
         avg_dn = 0.5 * np.concatenate([t.trace_dn[1][ie, s] for s in (0, 1)], axis=2)
         cross = np.einsum("eq,eqi,eqj->eij", self._w_ie, avg_dn, self._jump_v)
-        cons = -(cross + cross.transpose(0, 2, 1))
-        dpair = np.concatenate(
+        self._cons = -(cross + cross.transpose(0, 2, 1))
+        self._ie_dofs = np.concatenate(
             [dofs[mesh.edge_elems[ie, 0]], dofs[mesh.edge_elems[ie, 1]]], axis=1
         )
-        rows_ie = np.broadcast_to(dpair[:, :, None], cons.shape).ravel()
-        cols_ie = np.broadcast_to(dpair[:, None, :], cons.shape).ravel()
 
         # Boundary-edge mass blocks.
         be = mesh.boundary_edges
         self._btrace = t.trace[be, 0]                      # (nbe, nqe, ld)
         self._bweights = mesh.edge_weights[be]
         self._bdofs = dofs[mesh.edge_elems[be, 0]]
-        shape_b = (be.size, ld, ld)
-        rows_b = np.broadcast_to(self._bdofs[:, :, None], shape_b).ravel()
-        cols_b = np.broadcast_to(self._bdofs[:, None, :], shape_b).ravel()
-
-        self._rows = np.concatenate([rows_el, rows_el, rows_ie, rows_ie, rows_b])
-        self._cols = np.concatenate([cols_el, cols_el, cols_ie, cols_ie, cols_b])
-        n_el = rows_el.size
-        n_ie = rows_ie.size
-        self._sl_stiff = slice(0, n_el)
-        self._sl_mass = slice(n_el, 2 * n_el)
-        self._sl_cons = slice(2 * n_el, 2 * n_el + n_ie)
-        self._sl_pen = slice(2 * n_el + n_ie, 2 * n_el + 2 * n_ie)
-        self._sl_bnd = slice(2 * n_el + 2 * n_ie, self._rows.size)
-
-        self._vals = np.empty(self._rows.size, dtype=complex)
-        self._vals[self._sl_stiff] = stiff.ravel()
-        self._vals[self._sl_cons] = cons.ravel()
-        self._vals[self._sl_pen] = 1j * self._penalty_blocks(1).ravel()
 
         self._BB = np.einsum("qi,qj->qij", t.B, t.B)       # (nq, ld, ld)
         self._Wv = mesh.volume_weights
+
+        # The operator's terms as (DOF tuples, blocks, fresh per operator):
+        # stiffness, mass, consistency, penalty, boundary mass.  This order
+        # fixes the order in which each matrix entry sums its terms.  The
+        # pattern keeps the other terms; mass and boundary come with each
+        # operator.
+        groups = (
+            (dofs, self._stiff, False),
+            (dofs, np.zeros(self._stiff.shape), True),
+            (self._ie_dofs, self._cons, False),
+            (self._ie_dofs, 1j * self._penalty_blocks(1), False),
+            (self._bdofs, np.zeros((be.size, ld, ld)), True),
+        )
+        self._pattern = _CSCPattern(groups, space.ndof)
 
         # Evaluation at quadrature points: one row per point, its element's
         # (or boundary edge's) basis values in the columns of that element.
@@ -221,16 +215,12 @@ class Assembler:
     # -- operators -------------------------------------------------------
 
     def _build(self, k, cvol, cbnd) -> SystemMatrix:
-        if k <= 0.0:
-            raise ValueError("wavenumber k must be positive")
-        vals = self._vals.copy()
-        vals[self._sl_mass] = (-k * k) * self._mass_blocks(cvol).ravel()
-        vals[self._sl_bnd] = 1j * k * self._boundary_blocks(cbnd).ravel()
-        mat = sp.csc_matrix(
-            (vals, (self._rows, self._cols)),
-            shape=(self.space.ndof, self.space.ndof),
-        )
-        return SystemMatrix(mat)
+        if not 0.0 < k < inf:
+            raise ValueError(f"wavenumber k must be positive and finite, got {k!r}")
+        return SystemMatrix(self._pattern.fill(np.concatenate([
+            (-k * k) * self._mass_blocks(cvol).ravel(),
+            1j * k * self._boundary_blocks(cbnd).ravel(),
+        ])))
 
     def constant(self, k: float) -> SystemMatrix:
         return self._build(k, None, None)
@@ -255,19 +245,21 @@ class Assembler:
         """Real CSR forms (mass, stiffness, jump, boundary mass) of the broken norms.
 
         The jump form is the penalty form at degree scale s = r.  Each form
-        is scattered on the operator's row and column indices.
+        scatters its blocks on the DOFs of their elements or edges, as the
+        operator does, in one COO-to-CSR conversion of its own.
         """
-        def form(sl, blocks):
+        def form(dofs, blocks):
+            rows, cols = _block_entries(dofs)
             return sp.csr_matrix(
-                (blocks.ravel(), (self._rows[sl], self._cols[sl])),
+                (blocks.ravel(), (rows.ravel(), cols.ravel())),
                 shape=(self.space.ndof, self.space.ndof),
             )
 
         return (
-            form(self._sl_mass, self._mass_blocks()),
-            form(self._sl_stiff, self._vals[self._sl_stiff].real),
-            form(self._sl_pen, self._penalty_blocks(self.space.degree)),
-            form(self._sl_bnd, self._boundary_blocks()),
+            form(self.space.dofs, self._mass_blocks()),
+            form(self.space.dofs, self._stiff),
+            form(self._ie_dofs, self._penalty_blocks(self.space.degree)),
+            form(self._bdofs, self._boundary_blocks()),
         )
 
     # -- block operators on stacked coefficient vectors ------------------
@@ -348,6 +340,108 @@ def _eval_matrix(values: np.ndarray, columns: np.ndarray, ncols: int) -> sp.csr_
         (values.ravel(), columns.ravel(), np.arange(0, values.size + 1, width)),
         shape=(values.size // width, ncols),
     )
+
+
+def _block_entries(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of every entry of the blocks on the DOF tuples
+    `dofs`, shape (nb, m): entry (b, i, j) lies at (dofs[b, i], dofs[b, j]).
+    Both are read-only views of shape (nb, m, m)."""
+    shape = dofs.shape + dofs.shape[-1:]
+    return np.broadcast_to(dofs[:, :, None], shape), np.broadcast_to(dofs[:, None, :], shape)
+
+
+def _sum_runs(values, bounds) -> np.ndarray:
+    """The sum of each run values[bounds[i]:bounds[i + 1]] (none empty),
+    left to right, by the `csr_sum_duplicates` that scipy's COO conversion
+    runs: the runs are the rows of a one-column CSR matrix, marked sorted
+    so that `sum_duplicates` only sums.  `values` is overwritten."""
+    runs = sp.csr_matrix(
+        (values, np.zeros(values.size, dtype=bounds.dtype), bounds.copy()),
+        shape=(bounds.size - 1, 1),
+    )
+    runs.has_sorted_indices = True
+    runs.sum_duplicates()
+    return runs.data
+
+
+class _CSCPattern:
+    """The CSC matrix `sp.csc_matrix((values, (rows, cols)))` for fixed rows
+    and columns, filled with new values bit for bit.
+
+    scipy's conversion sorts the terms by column with a stable counting
+    sort, sorts each column by row with `std::sort`, and sums each run of
+    equal rows, one slot (stored entry), left to right.  Both sorts move
+    terms by their indices alone, so running them once on the terms'
+    positions gives, for any values, the order in which every slot sums
+    its terms.  The head of a slot, its terms before its first fresh one,
+    is summed once, into `_base`.  `fill` sums each slot with fresh terms
+    again from its head's sum on, and writes these sums into a copy of
+    `_base`: every slot is summed in scipy's order, so the matrix is
+    scipy's bit for bit, and no array as long as the terms is built.
+    """
+
+    def __init__(self, groups, n: int):
+        """`groups` lists the terms, in the order that scipy would take
+        them, as (DOF tuples, blocks, fresh) for `_block_entries`: `fill`
+        supplies the values of the fresh blocks, the others are kept."""
+        m = sum(blocks.size for _, blocks, _ in groups)
+        idx = sp.get_index_dtype(maxval=max(m, n))
+        rows, cols = (
+            np.concatenate(a, axis=None)
+            for a in zip(*(_block_entries(d.astype(idx)) for d, _, _ in groups))
+        )
+        # With one term per row (its column, holding its row), `tocsc` is the
+        # conversion's counting sort; `sort_indices` is the sort that its
+        # `sum_duplicates` runs.
+        by_col = sp.csr_matrix((rows, cols, np.arange(m + 1, dtype=idx)), shape=(m, n)).tocsc()
+        del rows, cols                                # their pages serve the arrays below
+        order = sp.csc_matrix((by_col.indices, by_col.data, by_col.indptr), shape=(n, n))
+        order.sort_indices()
+        position, row = order.data, order.indices     # the terms in summation order
+        new = np.ones(m, dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=new[1:])
+        new[order.indptr[:-1]] = True
+        bounds = np.append(np.flatnonzero(new), m)   # each slot's run of terms
+        self.shape = (n, n)
+        self.indices = row[bounds[:-1]]
+        self.indptr = np.searchsorted(bounds, order.indptr).astype(idx)
+
+        terms = np.concatenate([b for _, b, _ in groups], axis=None, dtype=complex)[position]
+        fresh = np.concatenate([np.full(b.size, is_fresh) for _, b, is_fresh in groups])
+        f = np.flatnonzero(fresh[position])
+        # A slot's tail runs from its first fresh term to its end, and its
+        # head holds the terms before.  `_runs` holds each tail after the
+        # sum of its head.
+        f_slot = np.searchsorted(bounds, f, "right") - 1
+        first = np.flatnonzero(np.diff(f_slot, prepend=-1))
+        self._tail_slots, begin = f_slot[first], f[first]
+        length = bounds[self._tail_slots + 1] - begin
+        self._run_bounds = np.cumsum(np.append(0, length + 1)).astype(idx)
+        shift = self._run_bounds[:-1] + 1 - begin     # summation place -> place in `_runs`
+        head = np.zeros(self._run_bounds[-1], dtype=bool)
+        head[self._run_bounds[:-1]] = True
+        tail = np.flatnonzero(~head) - np.repeat(shift, length)
+        self._runs = np.empty(head.size, dtype=complex)
+        self._runs[~head] = terms[tail]
+        # -0.0 is the identity of IEEE addition: a head sums as if alone, and
+        # an empty head sums to -0.0, to which a fresh term adds exactly.
+        terms[tail] = complex(-0.0, -0.0)
+        self._base = _sum_runs(terms, bounds.astype(idx))
+        self._runs[head] = self._base[self._tail_slots]
+        # The fresh terms' places in `_runs`, in input order.
+        at = f + shift[np.searchsorted(begin, f, "right") - 1]
+        self._fresh_at = at[np.argsort(position[f])]
+
+    def fill(self, fresh) -> sp.csc_matrix:
+        """The matrix whose fresh terms are `fresh`, in input order."""
+        runs = self._runs.copy()
+        runs[self._fresh_at] = fresh
+        data = self._base.copy()
+        data[self._tail_slots] = _sum_runs(runs, self._run_bounds)
+        # Each matrix owns its indices: scipy may change them in place.
+        mat = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        mat.has_canonical_format = True
+        return mat
 
 
 def real_product(op, x) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Classical Monte Carlo IP-DG baseline.
 
 Assembles and factorizes a fresh variable-coefficient system for every
-realization.  Assembly reuses the precomputed blocks and indices but
-converts COO to CSC, which sorts and sums, for every sample (see
-`Assembler`); each factorization is a full `splu` call, which recomputes
-the fill-reducing ordering and the symbolic analysis.  Worker threads, one
+realization.  Assembly reuses the precomputed blocks and the operator's
+fixed CSC pattern, which each sample fills in place with its mass and
+boundary values (see `Assembler`); each factorization is a full `splu`
+call, which recomputes the fill-reducing ordering and the symbolic
+analysis.  Worker threads, one
 per core, each run whole samples (draw, assembly, factorization, solve
 and check; SuperLU releases the GIL), with SuperLU's BLAS on one thread,
 and the calling thread adds the solutions up in sample order, so the

@@ -100,14 +100,17 @@ class LUFactors:
 def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
     """Factorize a sparse complex matrix (or SystemMatrix) as P_r A P_c = L U.
 
-    Deterministic for identical input.  Raises SingularMatrixError when a
-    pivot falls below 1e-14 of the largest pivot: the IP-DG system is
-    provably nonsingular, so a tiny pivot indicates an assembly bug.
+    Deterministic for identical input.  Raises ValueError for a matrix with
+    nonfinite entries, and SingularMatrixError when a pivot falls below
+    1e-14 of the largest pivot: the IP-DG system is provably nonsingular,
+    so a tiny pivot indicates an assembly bug.
     """
     mat = A.matrix if isinstance(A, SystemMatrix) else sp.csc_matrix(A)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     mat = mat.astype(complex, copy=False)
+    if not np.all(np.isfinite(mat.data)):
+        raise ValueError("matrix has nonfinite entries")
     counters = SolverCounters() if counters is None else counters
     with counters.timed("factorize"):
         try:

@@ -10,6 +10,7 @@ the same keys, which gives common random numbers across both methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -22,15 +23,28 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Uniform distribution on [low, high] with a 64-bit seed."""
+    """Uniform distribution on [low, high] with a 64-bit seed.
+
+    The bounds and their difference must be finite; the seed is an integer
+    (numpy's included, bool not), kept as an int.
+    """
 
     low: float = -1.0
     high: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("low", "high"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"noise {name} {getattr(self, name)!r} is not finite")
+        if not isfinite(self.high - self.low):
+            raise ValueError(f"noise high - low = {self.high - self.low!r} is not finite")
         if not self.low <= self.high:
             raise ValueError("noise interval must satisfy low <= high")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"noise seed {self.seed!r} is not an integer")
+        # `sample_media` masks the seed to 64 bits, which takes a Python int.
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,7 @@ from randhelm import (
     sample_media,
     source_volume,
 )
-from randhelm.assembly import real_product
+from randhelm.assembly import _block_entries, _CSCPattern, real_product
 
 
 @pytest.mark.parametrize("n,k", [(4, 1.0), (8, 5.0)])
@@ -59,8 +61,98 @@ def test_variable_epsilon_validation(mesh4, space4, penalties):
 
 
 def test_wavenumber_validation(mesh4, space4):
-    with pytest.raises(ValueError):
-        get_assembler(space4).constant(0.0)
+    asm = get_assembler(space4)
+    media = sample_media(mesh4, NoiseSpec(), 0)
+    for k in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="wavenumber k"):
+            asm.constant(k)
+        with pytest.raises(ValueError, match="wavenumber k"):
+            asm.variable(k, media, 0.1)
+
+
+def _coo_operator(asm, k, cvol=None, cbnd=None):
+    """The operator by scipy's COO-to-CSC conversion of its terms, block by
+    block: stiffness, mass, consistency, penalty, boundary mass.  Also the
+    conversion's tracemalloc peak, with the terms built beforehand."""
+    dofs = asm.space.dofs
+    terms = [
+        (dofs, asm._stiff),
+        (dofs, (-k * k) * asm._mass_blocks(cvol)),
+        (asm._ie_dofs, asm._cons),
+        (asm._ie_dofs, 1j * asm._penalty_blocks(1)),
+        (asm._bdofs, 1j * k * asm._boundary_blocks(cbnd)),
+    ]
+    rows = np.concatenate([np.broadcast_to(d[:, :, None], b.shape).ravel() for d, b in terms])
+    cols = np.concatenate([np.broadcast_to(d[:, None, :], b.shape).ravel() for d, b in terms])
+    vals = np.concatenate([b.ravel() for _, b in terms])
+    tracemalloc.start()
+    try:
+        A = sp.csc_matrix((vals, (rows, cols)), shape=(asm.space.ndof,) * 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return A, peak
+
+
+@pytest.mark.parametrize("n, degree", [(20, 1), (20, 2), (7, 3)])
+def test_operators_match_the_coo_conversion_bit_for_bit(n, degree):
+    mesh = build_uniform_mesh(n)
+    asm = get_assembler(DGSpace(mesh, degree))
+    media = sample_media(mesh, NoiseSpec(seed=3), 5)
+    alpha_v = 1.0 + 0.3 * media.eta_volume
+    alpha_b = 1.0 + 0.3 * media.eta_boundary
+    for A, (want, _) in [
+        (asm.constant(5.0).matrix, _coo_operator(asm, 5.0)),
+        (asm.variable(7.0, media, 0.3).matrix, _coo_operator(asm, 7.0, alpha_v**2, alpha_b)),
+    ]:
+        assert A.has_canonical_format
+        assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+        assert A.data.dtype == want.data.dtype
+        assert A.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(A.indices, want.indices)
+        assert np.array_equal(A.indptr, want.indptr)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csc_pattern_sums_like_the_coo_conversion(seed):
+    # Random blocks on 12 DOFs: columns of dozens of terms, which std::sort
+    # partitions, and slots of a few, many of them of signed zeros alone.
+    rng = np.random.default_rng(seed)
+    n = 12
+    picks, weights = np.array([-0.0, 0.0, -1.5, 2.0, 3e-17]), [0.4, 0.2, 0.1, 0.2, 0.1]
+
+    def values(shape):
+        return rng.choice(picks, shape, p=weights) + 1j * rng.choice(picks, shape, p=weights)
+
+    groups = [(np.arange(n)[:, None], values((n, 1, 1)), False)]
+    for fresh in (True, False, True, False):
+        nb, m = rng.integers(20, 60), rng.integers(1, 4)
+        groups.append((rng.integers(0, n, size=(nb, m)), values((nb, m, m)), fresh))
+    pattern = _CSCPattern(groups, n)
+    fill = [values(blocks.shape) if fresh else blocks for _, blocks, fresh in groups]
+    A = pattern.fill(np.concatenate([v.ravel() for v, (_, _, f) in zip(fill, groups) if f]))
+    entries = zip(*(_block_entries(d) for d, _, _ in groups))
+    rows, cols = (np.concatenate(a, axis=None) for a in entries)
+    want = sp.csc_matrix((np.concatenate([v.ravel() for v in fill]), (rows, cols)), shape=(n, n))
+    assert A.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(A.indices, want.indices)
+    assert np.array_equal(A.indptr, want.indptr)
+
+
+def test_variable_operator_needs_half_the_memory_of_the_coo_conversion():
+    mesh = build_uniform_mesh(20)
+    asm = get_assembler(DGSpace(mesh, 1))
+    media = sample_media(mesh, NoiseSpec(), 0)
+    alpha_v = 1.0 + 0.3 * media.eta_volume
+    _, coo_peak = _coo_operator(asm, 5.0, alpha_v**2, 1.0 + 0.3 * media.eta_boundary)
+    asm.variable(5.0, media, 0.3)
+    tracemalloc.start()
+    try:
+        asm.variable(5.0, media, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * coo_peak
 
 
 def test_media_layout_mismatch_rejected(mesh4, space4, penalties):

@@ -64,6 +64,13 @@ def test_singular_matrix_detected():
         lu_factorize(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 1e-20]])))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_nonfinite_matrix_rejected(bad):
+    A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, bad]], dtype=complex))
+    with pytest.raises(ValueError, match="nonfinite entries"):
+        lu_factorize(A)
+
+
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         lu_factorize(sp.csc_matrix(np.ones((2, 3))))

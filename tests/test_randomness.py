@@ -53,9 +53,25 @@ def test_degenerate_interval(mesh4):
 
 
 def test_validation():
+    mesh = build_uniform_mesh(2)
     with pytest.raises(ValueError):
         NoiseSpec(low=1.0, high=0.0)
-    mesh = build_uniform_mesh(2)
+    for kwargs, field in [
+        ({"low": -np.inf}, "low"),
+        ({"high": np.inf}, "high"),
+        ({"low": np.nan}, "low"),
+        ({"low": -1e308, "high": 1e308}, "high - low"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "1"}, "seed"),
+    ]:
+        with pytest.raises(ValueError, match=f"noise {field}"):
+            NoiseSpec(**kwargs)
+    # numpy integers are seeds too, signed ones included.
+    assert NoiseSpec(seed=np.int64(7)) == NoiseSpec(seed=7)
+    a = sample_media(mesh, NoiseSpec(seed=np.int32(-1)), 2)
+    b = sample_media(mesh, NoiseSpec(seed=-1), 2)
+    assert np.array_equal(a.eta_volume, b.eta_volume)
     with pytest.raises(ValueError):
         sample_media(mesh, NoiseSpec(), -1)
 

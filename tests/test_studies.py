@@ -44,11 +44,13 @@ def test_config_round_trip(tmp_path):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# Noise bounds whose difference is finite too, as NoiseSpec requires.
+_noise_bound = st.floats(min_value=-1e300, max_value=1e300)
 
 
 @st.composite
 def _run_configs(draw):
-    low, high = sorted((draw(_finite), draw(_finite)))
+    low, high = sorted((draw(_noise_bound), draw(_noise_bound)))
     return RunConfig(
         k=draw(_positive),
         epsilon=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
