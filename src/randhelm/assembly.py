@@ -105,7 +105,7 @@ class Assembler:
         dofs = space.dofs
 
         # Element blocks (stiffness and mass share indices).
-        self._stiff = np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, t.Gphys, t.Gphys)
+        self._stiff = _stiffness_blocks(mesh.volume_weights, t.Gphys)
 
         # Interior-edge blocks on the stacked (K, K') DOF pair.
         ie = mesh.interior_edges
@@ -135,19 +135,20 @@ class Assembler:
         self._BB = np.einsum("qi,qj->qij", t.B, t.B)       # (nq, ld, ld)
         self._Wv = mesh.volume_weights
 
-        # The operator's terms as (DOF tuples, blocks, fresh per operator):
+        # The operator's terms as (element tuples, blocks, fresh per operator):
         # stiffness, mass, consistency, penalty, boundary mass.  This order
         # fixes the order in which each matrix entry sums its terms.  The
         # pattern keeps the other terms; mass and boundary come with each
         # operator.
+        elements = np.arange(mesh.n_elements)[:, None]
         groups = (
-            (dofs, self._stiff, False),
-            (dofs, np.zeros(self._stiff.shape), True),
-            (self._ie_dofs, self._cons, False),
-            (self._ie_dofs, 1j * self._penalty_blocks(1), False),
-            (self._bdofs, np.zeros((be.size, ld, ld)), True),
+            (elements, self._stiff, False),
+            (elements, np.zeros(self._stiff.shape), True),
+            (mesh.edge_elems[ie], self._cons, False),
+            (mesh.edge_elems[ie], 1j * self._penalty_blocks(1), False),
+            (mesh.edge_elems[be, :1], np.zeros((be.size, ld, ld)), True),
         )
-        self._pattern = _CSCPattern(groups, space.ndof)
+        self._pattern = _CSCPattern(groups, space.ndof, ld)
 
         # Evaluation at quadrature points: one row per point, its element's
         # (or boundary edge's) basis values in the columns of that element.
@@ -181,16 +182,17 @@ class Assembler:
         The operator uses s = 1, the broken norm s = r.
         """
         p, w, h_e = self.penalties, self._w_ie, self._h_ie
-        blocks = np.einsum(
-            "e,eq,eqi,eqj->eij", p.gamma0 * s / h_e, w, self._jump_v, self._jump_v
-        )
-        blocks += np.einsum(
-            "e,eq,eqi,eqj->eij", p.beta1 * s / h_e, w, self._jump_t, self._jump_t
-        )
+
+        def weighted(scale, jump, out=None):
+            # The edge's scale times each weight, then the basis pair: the
+            # order of the product "e,eq,eqi,eqj" with one operand less.
+            return np.einsum("eq,eqi,eqj->eij", scale[:, None] * w, jump, jump, out=out)
+
+        blocks = weighted(p.gamma0 * s / h_e, self._jump_v)
+        term = np.empty_like(blocks)
+        blocks += weighted(p.beta1 * s / h_e, self._jump_t, term)
         for j, jump_n in enumerate(self._jump_n, start=1):
-            blocks += np.einsum(
-                "e,eq,eqi,eqj->eij", p.gamma_j(j) * (h_e / s) ** (2 * j - 1), w, jump_n, jump_n
-            )
+            blocks += weighted(p.gamma_j(j) * (h_e / s) ** (2 * j - 1), jump_n, term)
         return blocks
 
     def _mass_blocks(self, c=None) -> np.ndarray:
@@ -332,6 +334,22 @@ class Assembler:
         return values.reshape(self._bweights.shape)
 
 
+def _stiffness_blocks(w, G) -> np.ndarray:
+    """Blocks sum_q w[e, q] G[e, q, i] . G[e, q, j] of the broken stiffness
+    form, for weights w (nel, nq) and physical gradients G (nel, nq, ld, 2).
+
+    Bit for bit `np.einsum("eq,eqic,eqjc->eij", w, G, G)`: each product is
+    (w G_i) G_j, a point's two components are summed first and the points
+    in order.  One point at a time runs over whole blocks, not over the
+    two components, and takes about half the einsum's time.
+    """
+    blocks = np.zeros(G.shape[:1] + G.shape[2:3] * 2)
+    for q in range(G.shape[1]):
+        wg = w[:, q, None, None] * G[:, q]
+        blocks += wg[:, :, None, 0] * G[:, q, None, :, 0] + wg[:, :, None, 1] * G[:, q, None, :, 1]
+    return blocks
+
+
 def _eval_matrix(values: np.ndarray, columns: np.ndarray, ncols: int) -> sp.csr_matrix:
     """CSR matrix whose rows hold values[..., :] in columns[..., :]: one
     row per point, the last axis running over its element's basis."""
@@ -348,6 +366,16 @@ def _block_entries(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both are read-only views of shape (nb, m, m)."""
     shape = dofs.shape + dofs.shape[-1:]
     return np.broadcast_to(dofs[:, :, None], shape), np.broadcast_to(dofs[:, None, :], shape)
+
+
+def _ranges(starts, lengths) -> np.ndarray:
+    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1, none
+    of them empty, as one running sum of steps: 1 inside a range, the jump
+    to its start at the first place of each."""
+    steps = np.ones(lengths.sum(), dtype=np.intp)
+    ends = np.cumsum(lengths)
+    steps[ends - lengths] = starts - np.append(0, starts[:-1] + lengths[:-1] - 1)
+    return np.cumsum(steps, out=steps)
 
 
 def _sum_runs(values, bounds) -> np.ndarray:
@@ -378,59 +406,111 @@ class _CSCPattern:
     again from its head's sum on, and writes these sums into a copy of
     `_base`: every slot is summed in scipy's order, so the matrix is
     scipy's bit for bit, and no array as long as the terms is built.
+
+    The blocks couple whole elements of `width` consecutive DOFs, so the
+    columns of one element hold the same rows in the same input order and
+    are sorted alike.  The sorts therefore run on one column per element,
+    each term standing for the `width` terms of its row in that element.
     """
 
-    def __init__(self, groups, n: int):
+    def __init__(self, groups, n: int, width: int):
         """`groups` lists the terms, in the order that scipy would take
-        them, as (DOF tuples, blocks, fresh) for `_block_entries`: `fill`
-        supplies the values of the fresh blocks, the others are kept."""
+        them, as (tuples, blocks, fresh): tuple entry e stands for the DOFs
+        e * width .. e * width + width - 1, so block b couples the DOFs of
+        `tuples[b]`, entry after entry.  `fill` supplies the values of the
+        fresh blocks, whose values here are not read; the others are kept."""
         m = sum(blocks.size for _, blocks, _ in groups)
         idx = sp.get_index_dtype(maxval=max(m, n))
-        rows, cols = (
-            np.concatenate(a, axis=None)
-            for a in zip(*(_block_entries(d.astype(idx)) for d, _, _ in groups))
-        )
+        w = width
+        # Reduced term t = (block, row, tuple entry) stands for the terms at
+        # positions w*t .. w*t + w - 1 of the input: its row, in the columns
+        # of its entry, which is its column here.
+        rows, cols = [], []
+        for tuples, _, _ in groups:
+            tuples = tuples.astype(idx)
+            dofs = (tuples[:, :, None] * w + np.arange(w, dtype=idx)).reshape(len(tuples), -1)
+            shape = dofs.shape + tuples.shape[-1:]
+            rows.append(np.broadcast_to(dofs[:, :, None], shape))
+            cols.append(np.broadcast_to(tuples[:, None, :], shape))
+        rows, cols = np.concatenate(rows, axis=None), np.concatenate(cols, axis=None)
+        mr = rows.size
         # With one term per row (its column, holding its row), `tocsc` is the
         # conversion's counting sort; `sort_indices` is the sort that its
         # `sum_duplicates` runs.
-        by_col = sp.csr_matrix((rows, cols, np.arange(m + 1, dtype=idx)), shape=(m, n)).tocsc()
-        del rows, cols                                # their pages serve the arrays below
-        order = sp.csc_matrix((by_col.indices, by_col.data, by_col.indptr), shape=(n, n))
+        by_col = sp.csr_matrix(
+            (rows, cols, np.arange(mr + 1, dtype=idx)), shape=(mr, n // w)
+        ).tocsc()
+        del rows, cols
+        order = sp.csc_matrix((by_col.indices, by_col.data, by_col.indptr), shape=(n, n // w))
         order.sort_indices()
-        position, row = order.data, order.indices     # the terms in summation order
-        new = np.ones(m, dtype=bool)
+        term, row = order.data, order.indices         # summation order
+        new = np.ones(mr, dtype=bool)
         np.not_equal(row[1:], row[:-1], out=new[1:])
         new[order.indptr[:-1]] = True
-        bounds = np.append(np.flatnonzero(new), m)   # each slot's run of terms
+        starts = np.flatnonzero(new)                  # each reduced slot's run
+        bounds = np.append(starts, mr)
+        col_slots = np.searchsorted(starts, order.indptr)
+        # Column e*w + j of the matrix holds the slots of reduced column e:
+        # reduced slot s of column e is slot full[s, j].
+        ns = np.diff(col_slots)
+        slot_col = np.repeat(np.arange(ns.size), ns)
+        full = ((w - 1) * col_slots[slot_col] + np.arange(starts.size))[:, None] + (
+            np.arange(w) * ns[slot_col, None]
+        )
         self.shape = (n, n)
-        self.indices = row[bounds[:-1]]
-        self.indptr = np.searchsorted(bounds, order.indptr).astype(idx)
+        self.indices = np.empty(full.size, dtype=row.dtype)
+        self.indices[full] = row[starts, None]
+        self.indptr = np.append(
+            w * col_slots[:-1, None] + np.arange(w) * ns[:, None], w * col_slots[-1]
+        ).astype(idx)
 
-        terms = np.concatenate([b for _, b, _ in groups], axis=None, dtype=complex)[position]
-        fresh = np.concatenate([np.full(b.size, is_fresh) for _, b, is_fresh in groups])
-        f = np.flatnonzero(fresh[position])
+        # values[j, k]: term j of the reduced term in summation place k, so
+        # that each slot's terms are one run of a row.
+        sizes = [blocks.size // w for _, blocks, _ in groups]
+        place = np.empty(mr, dtype=np.intp)
+        place[term] = np.arange(mr)
+        values = np.empty((w, mr), dtype=complex)
+        lo = 0
+        for (_, blocks, fresh), size in zip(groups, sizes):
+            values[:, place[lo:lo + size]] = 0.0 if fresh else blocks.reshape(-1, w).T
+            lo += size
         # A slot's tail runs from its first fresh term to its end, and its
-        # head holds the terms before.  `_runs` holds each tail after the
-        # sum of its head.
-        f_slot = np.searchsorted(bounds, f, "right") - 1
+        # head holds the terms before.
+        slot_of = np.cumsum(new) - 1
+        is_fresh = np.repeat([fresh for _, _, fresh in groups], sizes)
+        f = np.flatnonzero(is_fresh[term])
+        f_slot = slot_of[f]
         first = np.flatnonzero(np.diff(f_slot, prepend=-1))
-        self._tail_slots, begin = f_slot[first], f[first]
-        length = bounds[self._tail_slots + 1] - begin
+        tails, begin = f_slot[first], f[first]
+        tail_length = bounds[tails + 1] - begin
+
+        # `_runs` holds each tail after the sum of its head, slot by slot.
+        tail_full = full[tails]
+        by_slot = np.argsort(tail_full, axis=None)
+        self._tail_slots = tail_full.ravel()[by_slot]
+        which, j = np.divmod(by_slot, w)
+        length = tail_length[which]
         self._run_bounds = np.cumsum(np.append(0, length + 1)).astype(idx)
-        shift = self._run_bounds[:-1] + 1 - begin     # summation place -> place in `_runs`
-        head = np.zeros(self._run_bounds[-1], dtype=bool)
-        head[self._run_bounds[:-1]] = True
-        tail = np.flatnonzero(~head) - np.repeat(shift, length)
-        self._runs = np.empty(head.size, dtype=complex)
-        self._runs[~head] = terms[tail]
-        # -0.0 is the identity of IEEE addition: a head sums as if alone, and
-        # an empty head sums to -0.0, to which a fresh term adds exactly.
-        terms[tail] = complex(-0.0, -0.0)
-        self._base = _sum_runs(terms, bounds.astype(idx))
-        self._runs[head] = self._base[self._tail_slots]
+        # Place p of run r holds values.flat[p + shift[r]]; each run's first
+        # place takes its head's sum below.
+        shift = j * mr + begin[which] - 1 - self._run_bounds[:-1]
+        self._runs = values.reshape(-1)[_ranges(shift + self._run_bounds[:-1], length + 1)]
+
+        # Each head summed by itself: -0.0 is the identity of IEEE
+        # addition, so a head sums as if alone, and an empty head sums to
+        # -0.0, to which a fresh term adds exactly.
+        values[:, _ranges(begin, tail_length)] = complex(-0.0, -0.0)
+        runs = (bounds[:-1] + mr * np.arange(w)[:, None]).ravel()
+        sums = _sum_runs(values.reshape(-1), np.append(runs, w * mr).astype(idx))
+        self._base = np.empty(full.size, dtype=complex)
+        self._base[full.T] = sums.reshape(w, -1)
+        self._runs[self._run_bounds[:-1]] = self._base[self._tail_slots]
         # The fresh terms' places in `_runs`, in input order.
-        at = f + shift[np.searchsorted(begin, f, "right") - 1]
-        self._fresh_at = at[np.argsort(position[f])]
+        k = place[np.flatnonzero(is_fresh)]
+        run_of = np.empty(by_slot.size, dtype=np.intp)      # (tail, j) -> run
+        run_of[by_slot] = np.arange(by_slot.size)
+        run = run_of.reshape(-1, w)[np.searchsorted(tails, slot_of[k])]
+        self._fresh_at = (k[:, None] + j[run] * mr - shift[run]).ravel()
 
     def fill(self, fresh) -> sp.csc_matrix:
         """The matrix whose fresh terms are `fresh`, in input order."""

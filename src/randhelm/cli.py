@@ -3,7 +3,8 @@
 Subcommands: mesh-info, solve-det, run-modes, run-classical, compare,
 study.  All numeric output uses 17 significant digits; files are written
 by the output functions of `studies`.  Outputs do not depend on
-scheduling or core count.
+scheduling, core count or OpenBLAS's thread count: every SuperLU call
+runs on one BLAS thread (`linalg.single_blas_thread`).
 """
 from __future__ import annotations
 

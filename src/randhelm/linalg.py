@@ -5,15 +5,17 @@ forward/backward substitutions; this is the entire cost advantage of the
 multi-modes solver over the per-sample refactorizing baseline.  The
 factorization uses a fill-reducing ordering on the symmetrized pattern
 with threshold partial pivoting (the operators are complex-symmetric and
-indefinite, so pure diagonal pivoting would be unsafe).  Inside
-`single_blas_thread`, factorizations and substitutions run on one BLAS
-thread where SuperLU's OpenBLAS allows it (see `lu_solve`).
-`sample_workers` runs both drivers' sample loops on worker threads.
+indefinite, so pure diagonal pivoting would be unsafe).  Every
+factorization and substitution runs on one BLAS thread where SuperLU's
+OpenBLAS allows it (`single_blas_thread`), so factors and solutions do
+not depend on OpenBLAS's thread count.  `sample_workers` runs both
+drivers' sample loops on worker threads.
 """
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -100,7 +102,9 @@ class LUFactors:
 def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
     """Factorize a sparse complex matrix (or SystemMatrix) as P_r A P_c = L U.
 
-    Deterministic for identical input.  Raises ValueError for a matrix with
+    Runs on one BLAS thread (`single_blas_thread`), so the factors are
+    the same for identical input, whatever OpenBLAS's thread count or
+    the calling thread.  Raises ValueError for a matrix with
     nonfinite entries, and SingularMatrixError when a pivot falls below
     1e-14 of the largest pivot: the IP-DG system is provably nonsingular,
     so a tiny pivot indicates an assembly bug.
@@ -112,7 +116,7 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
     if not np.all(np.isfinite(mat.data)):
         raise ValueError("matrix has nonfinite entries")
     counters = SolverCounters() if counters is None else counters
-    with counters.timed("factorize"):
+    with counters.timed("factorize"), single_blas_thread():
         try:
             lu = splu(
                 mat,
@@ -152,35 +156,50 @@ def solves_are_pinned() -> bool:
     return _blas_threads_setter() is not None
 
 
+_pin_lock = threading.Lock()
+_pin_depth = 0          # open `single_blas_thread` entries, all threads
+_pin_previous = None    # the count that the outermost entry replaced
+
+
 @contextmanager
 def single_blas_thread():
     """Run SuperLU's BLAS on one thread until exit, then restore the count.
 
-    Yields `solves_are_pinned()`.  The count is process-wide, so enter
-    this once, on one thread, around every solve that must be pinned
-    (worker threads included), and not from two threads at a time: their
-    saved counts would cross.
+    Yields `solves_are_pinned()`.  The count is process-wide, so the
+    entries of all threads share it: the outermost entry saves the count
+    and sets one thread, and the last one to exit restores the saved
+    count.  Entries nested inside it, worker threads' included, do not
+    call the setter, so no two threads' saves and restores cross.
     """
+    global _pin_depth, _pin_previous
     set_threads = _blas_threads_setter()
     if set_threads is None:
         yield False
         return
-    previous = set_threads(1)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_previous = set_threads(1)
+        _pin_depth += 1
     try:
         yield True
     finally:
-        set_threads(previous)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_threads(_pin_previous)
 
 
 def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> np.ndarray:
     """Solve via forward/backward substitution with stored factors.
 
-    Inside a pinning `single_blas_thread`, the substitution runs on one
-    OpenBLAS thread, and each column of the solution is bit-identical
-    whatever other columns share the call and whichever thread makes it.
-    Otherwise OpenBLAS may split the supernode products over its threads,
-    which moves the last digits.  SuperLU releases the GIL while it
-    substitutes, so calls from several threads run in parallel.
+    The substitution runs on one OpenBLAS thread (`single_blas_thread`),
+    so each column of the solution is bit-identical whatever other
+    columns share the call, whichever thread makes it and whatever
+    OpenBLAS's thread count; a threaded BLAS would split the supernode
+    products, which moves the last digits.  Where OpenBLAS cannot be
+    pinned (`solves_are_pinned()` is false) that guarantee is lost.
+    SuperLU releases the GIL while it substitutes, so calls from several
+    threads run in parallel.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != factors.dimension:
@@ -188,7 +207,7 @@ def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> n
             f"right-hand side has length {b.shape[0]}, expected {factors.dimension}"
         )
     counters = SolverCounters() if counters is None else counters
-    with counters.timed("solve"):
+    with counters.timed("solve"), single_blas_thread():
         x = factors._lu.solve(b)
     counters.solves += 1 if b.ndim == 1 else b.shape[1]
     return x
@@ -238,7 +257,7 @@ def sample_workers(counters: SolverCounters):
     its own.  The wall and CPU seconds of the loop, all threads' CPU
     included, go to `counters` as `sample_loop` and `sample_loop_cpu`.
     Inside, SuperLU's BLAS runs on one thread in the whole process
-    (`single_blas_thread`; do not enter this from two threads at a time).
+    (`single_blas_thread`).
     On entry glibc's malloc is held to one arena for the rest of the
     process; this has no effect where a thread already has its own.  On
     exit the pages of freed heap chunks go back to the system.

@@ -150,14 +150,16 @@ def build_uniform_mesh(n: int) -> TriMesh:
     # Edges in order of first appearance over the sides (a, b), (b, c),
     # (c, a) of each element in label order, as sorted vertex pairs.  The
     # first side of an edge belongs to the smaller label, a second to the
-    # larger; boundary edges have no second side and keep -1.
+    # larger; boundary edges have no second side and keep -1.  A pair
+    # (a, b) with a < b is numbered by its key a * nv + b, which sorts as
+    # the pairs do.
     sides = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    pairs, first, inverse = np.unique(sides, axis=0, return_index=True, return_inverse=True)
+    keys = sides[:, 0] * vertices.shape[0] + sides[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     last = np.zeros_like(first)
-    # reshape: numpy 2.0.0 returns `inverse` as a column.
-    np.maximum.at(last, inverse.reshape(-1), np.arange(sides.shape[0]))
+    np.maximum.at(last, inverse, np.arange(sides.shape[0]))
     order = np.argsort(first)
-    edge_vertices = pairs[order]
+    edge_vertices = sides[first[order]]
     edge_elems = np.column_stack([first // 3, np.where(last > first, last // 3, -1)])[order]
 
     pa = vertices[edge_vertices[:, 0]]

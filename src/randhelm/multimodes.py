@@ -11,10 +11,11 @@ and norms (SuperLU and most array operations release the GIL).  The
 recursion needs only the previous two modes, so a worker keeps two and
 sums each mode over its samples as soon as it is solved.  The calling
 thread only adds up the half-blocks' per-mode sums, in sample order.
-Each substitution runs on one BLAS thread, so a column's solution does
-not depend on the thread that computed it.  The output is therefore the
-same for every call with the same config, whatever the scheduling or the
-number of cores.
+The factorization and each substitution run on one BLAS thread, so a
+column's solution does not depend on the thread that computed it or on
+OpenBLAS's thread count.  The output is therefore the same for every
+call with the same config, whatever the scheduling or the number of
+cores.
 """
 from __future__ import annotations
 
@@ -226,11 +227,10 @@ def run_multimodes(
     integer in 1..M (others raise `ValueError`).  The
     half-blocks run on one worker thread per core of the process's CPU
     affinity, with SuperLU's OpenBLAS on one thread in the whole process
-    and glibc's malloc held to one arena (`sample_workers`; so do not run
-    two calls at a time on different threads).  Results do not depend on
-    scheduling or core count.  A half-block holds two of its modes at a
-    time and hands back sums, so memory grows with N only by the (N, ndof)
-    sums.  The set-up (`uniform_assembler`) is kept
+    and glibc's malloc held to one arena (`sample_workers`).  Results do
+    not depend on scheduling, core count or OpenBLAS's thread count.  A
+    half-block holds two of its modes at a time and hands back sums, so
+    memory grows with N only by the (N, ndof) sums.  The set-up (`uniform_assembler`) is kept
     for the next call; the operator and its factorization are not.  The
     counters time the phases `setup`, `assembly`, `factorize`, `solve`,
     `sample_loop` and `sample_loop_cpu`; `solve` runs on the workers and

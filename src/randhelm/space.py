@@ -56,12 +56,29 @@ class DGSpace:
 
     def _derivative(self, points, a: int, b: int) -> np.ndarray:
         """(d/dx)^a (d/dy)^b of every local basis function at reference
-        points, shape (npts, local_dim)."""
+        points, shape (npts, local_dim).
+
+        The steps of `polyval2d` over `polyder(polyder(_coef, b, axis=1),
+        a, axis=0)`, bit for bit: Horner in x for each power of y, then in
+        y.  They run in place, on one array per power of y.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c = npoly.polyder(npoly.polyder(self._coef, b, axis=1), a, axis=0)
-        # polyval2d puts the basis axis first.  The tables, and the sums
-        # over them, follow the memory order, so hand back C order.
-        return np.ascontiguousarray(npoly.polyval2d(pts[:, 0], pts[:, 1], c).T)
+        x, y = pts[:, 0], pts[:, 1]
+        c = npoly.polyder(npoly.polyder(self._coef, b, axis=1), a, axis=0)[..., None]
+        out = None
+        for cy in c[:, ::-1].transpose(1, 0, 2, 3):   # highest power of y first
+            t = cy[-1] + x * 0
+            for cx in cy[-2::-1]:
+                t *= x
+                t += cx
+            if out is None:
+                out = t + y * 0
+            else:
+                out *= y
+                out += t
+        # The basis axis came first.  The tables, and the sums over them,
+        # follow the memory order, so hand back C order.
+        return np.ascontiguousarray(out.T)
 
     def basis_values(self, points) -> np.ndarray:
         """Values of all local basis functions at reference points."""
@@ -76,17 +93,34 @@ class DGSpace:
 
         `dirs` holds the (reference-coordinate) direction for each point.
         """
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        return sum(
-            (comb(order, a) * dirs[:, 0] ** a * dirs[:, 1] ** (order - a))[:, None]
-            * self._derivative(points, a, order - a)
-            for a in range(order + 1)
+        return _directional(
+            {(a, order - a): self._derivative(points, a, order - a) for a in range(order + 1)},
+            dirs,
+            order,
         )
 
     @cached_property
     def tables(self) -> "_Tables":
         """Basis evaluations on the mesh quadrature layout, built on first use."""
         return _Tables(self)
+
+
+def _directional(derivatives, dirs, order: int) -> np.ndarray:
+    """(d . grad)^order from the partial derivatives `derivatives[a, b]`,
+    (d/dx)^a (d/dy)^b with a + b = order, at points with directions d."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    return sum(
+        (comb(order, a) * dirs[:, 0] ** a * dirs[:, 1] ** (order - a))[:, None]
+        * derivatives[a, order - a]
+        for a in range(order + 1)
+    )
+
+
+def _matvec(A, v) -> np.ndarray:
+    """A @ v over leading axes that broadcast, for 2 x 2 matrices A: the
+    two products of each row are summed in order, as einsum does.  Each
+    component is computed whole, so no loop runs over an axis of 2."""
+    return np.stack([A[..., i, 0] * v[..., 0] + A[..., i, 1] * v[..., 1] for i in (0, 1)], axis=-1)
 
 
 class _Tables:
@@ -98,38 +132,35 @@ class _Tables:
         self.B = space.basis_values(mesh.ref_volume_points)          # (nq, ld)
         gref = space.basis_gradients(mesh.ref_volume_points)         # (nq, ld, 2)
         # Physical gradient: grad_x = J^{-T} grad_ref.
-        self.Gphys = np.einsum("qid,edc->eqic", gref, mesh.jac_inv)
+        self.Gphys = _matvec(mesh.jac_inv.transpose(0, 2, 1)[:, None, None], gref)
 
+        # Both sides of every edge at once, in the layout of the tables,
+        # shape (ne, 2, nqe, ld).  The missing second side of a boundary
+        # edge is evaluated on element 0, then zeroed.
         ne, nqe = mesh.n_edges, mesh.ref_edge_points.shape[0]
-        ld = space.local_dim
-        self.trace = np.zeros((ne, 2, nqe, ld))
-        self.trace_dn = {j: np.zeros((ne, 2, nqe, ld)) for j in range(1, r + 1)}
-        self.trace_dt = np.zeros((ne, 2, nqe, ld))
-
-        for side in (0, 1):
-            elems = mesh.edge_elems[:, side]
-            valid = elems >= 0
-            el = np.where(valid, elems, 0)
-            v0 = mesh.vertices[mesh.elements[el, 0]]
-            d = mesh.edge_points - v0[:, None, :]
-            ref = np.einsum("eij,eqj->eqi", mesh.jac_inv[el], d)
-            flat = ref.reshape(-1, 2)
-            vals = space.basis_values(flat).reshape(ne, nqe, ld)
-            vals[~valid] = 0.0
-            self.trace[:, side] = vals
-            # Direction of physical differentiation pulled back to the
-            # reference element: c = J^{-1} d.
-            cn = np.einsum("eij,ej->ei", mesh.jac_inv[el], mesh.edge_normal)
-            ct = np.einsum("eij,ej->ei", mesh.jac_inv[el], mesh.edge_tangent)
-            cn_flat = np.repeat(cn, nqe, axis=0)
-            ct_flat = np.repeat(ct, nqe, axis=0)
-            for j in range(1, r + 1):
-                dn = space.basis_directional(flat, cn_flat, j).reshape(ne, nqe, ld)
-                dn[~valid] = 0.0
-                self.trace_dn[j][:, side] = dn
-            dt = space.basis_directional(flat, ct_flat, 1).reshape(ne, nqe, ld)
-            dt[~valid] = 0.0
-            self.trace_dt[:, side] = dt
+        shape = (ne, 2, nqe, space.local_dim)
+        valid = mesh.edge_elems >= 0
+        el = np.where(valid, mesh.edge_elems, 0)
+        jac_inv = mesh.jac_inv[el]                                    # (ne, 2, 2, 2)
+        v0 = mesh.vertices[mesh.elements[el, 0]]
+        ref = _matvec(jac_inv[:, :, None], mesh.edge_points[:, None] - v0[:, :, None])
+        flat = ref.reshape(-1, 2)
+        derivatives = {
+            (a, j - a): space._derivative(flat, a, j - a) for j in range(r + 1) for a in range(j + 1)
+        }
+        # Direction of physical differentiation pulled back to the
+        # reference element: c = J^{-1} d, one per point.
+        cn, ct = (
+            np.repeat(_matvec(jac_inv, d[:, None]).reshape(-1, 2), nqe, axis=0)
+            for d in (mesh.edge_normal, mesh.edge_tangent)
+        )
+        self.trace = derivatives[0, 0].reshape(shape)
+        self.trace_dn = {
+            j: _directional(derivatives, cn, j).reshape(shape) for j in range(1, r + 1)
+        }
+        self.trace_dt = _directional(derivatives, ct, 1).reshape(shape)
+        for table in (self.trace, self.trace_dt, *self.trace_dn.values()):
+            table[~valid] = 0.0
 
 
 @dataclass

@@ -113,30 +113,62 @@ def test_operators_match_the_coo_conversion_bit_for_bit(n, degree):
         assert np.array_equal(A.indptr, want.indptr)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_csc_pattern_sums_like_the_coo_conversion(seed):
-    # Random blocks on 12 DOFs: columns of dozens of terms, which std::sort
-    # partitions, and slots of a few, many of them of signed zeros alone.
+def _check_pattern_against_the_coo_conversion(seed, width):
+    # Random blocks on 12 elements of `width` DOFs: columns of dozens of
+    # terms, which std::sort partitions, and slots of a few, many of them
+    # of signed zeros alone.  A tuple may name an element twice.
     rng = np.random.default_rng(seed)
-    n = 12
+    nel = 12
+    n = nel * width
     picks, weights = np.array([-0.0, 0.0, -1.5, 2.0, 3e-17]), [0.4, 0.2, 0.1, 0.2, 0.1]
 
     def values(shape):
         return rng.choice(picks, shape, p=weights) + 1j * rng.choice(picks, shape, p=weights)
 
-    groups = [(np.arange(n)[:, None], values((n, 1, 1)), False)]
+    groups = [(np.arange(nel)[:, None], values((nel, width, width)), False)]
     for fresh in (True, False, True, False):
         nb, m = rng.integers(20, 60), rng.integers(1, 4)
-        groups.append((rng.integers(0, n, size=(nb, m)), values((nb, m, m)), fresh))
-    pattern = _CSCPattern(groups, n)
+        groups.append((rng.integers(0, nel, size=(nb, m)), values((nb, m * width, m * width)), fresh))
+    pattern = _CSCPattern(groups, n, width)
     fill = [values(blocks.shape) if fresh else blocks for _, blocks, fresh in groups]
     A = pattern.fill(np.concatenate([v.ravel() for v, (_, _, f) in zip(fill, groups) if f]))
-    entries = zip(*(_block_entries(d) for d, _, _ in groups))
-    rows, cols = (np.concatenate(a, axis=None) for a in entries)
+    dofs = [(t[:, :, None] * width + np.arange(width)).reshape(len(t), -1) for t, _, _ in groups]
+    rows, cols = (np.concatenate(a, axis=None) for a in zip(*map(_block_entries, dofs)))
     want = sp.csc_matrix((np.concatenate([v.ravel() for v in fill]), (rows, cols)), shape=(n, n))
     assert A.data.tobytes() == want.data.tobytes()
     assert np.array_equal(A.indices, want.indices)
     assert np.array_equal(A.indptr, want.indptr)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csc_pattern_sums_like_the_coo_conversion(seed):
+    _check_pattern_against_the_coo_conversion(seed, 1)
+
+
+@pytest.mark.parametrize("seed, width", [(4, 2), (5, 3), (6, 6)])
+def test_csc_pattern_of_element_blocks_sums_like_the_coo_conversion(seed, width):
+    # The sorts run on one column per element; every column of an element
+    # must still sum its terms as scipy's conversion does.
+    _check_pattern_against_the_coo_conversion(seed, width)
+
+
+@pytest.mark.parametrize("n, degree", [(12, 1), (7, 2), (5, 3)])
+def test_blocks_match_the_einsum_forms_bit_for_bit(n, degree):
+    mesh = build_uniform_mesh(n)
+    asm = get_assembler(DGSpace(mesh, degree))
+    G = asm.space.tables.Gphys
+    stiff = np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, G, G)
+    assert asm._stiff.tobytes() == stiff.tobytes()
+    p, w, h_e = asm.penalties, asm._w_ie, asm._h_ie
+    for s in (1, degree):
+        # The penalty blocks as they were first written: four operands.
+        want = np.einsum("e,eq,eqi,eqj->eij", p.gamma0 * s / h_e, w, asm._jump_v, asm._jump_v)
+        want += np.einsum("e,eq,eqi,eqj->eij", p.beta1 * s / h_e, w, asm._jump_t, asm._jump_t)
+        for j, jump_n in enumerate(asm._jump_n, start=1):
+            scale = p.gamma_j(j) * (h_e / s) ** (2 * j - 1)
+            want += np.einsum("e,eq,eqi,eqj->eij", scale, w, jump_n, jump_n)
+        got = asm._penalty_blocks(s)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_variable_operator_needs_half_the_memory_of_the_coo_conversion():

@@ -3,9 +3,11 @@
 `perfbench/` drives the package through the names it imports; a change
 that drops one of them (or an argument a workload passes) breaks every
 benchmark run.  These tests run each workload's set-up probe, call,
-output check and one traced call at mesh_n=6 with at most 20 samples.
+output check and one traced call at mesh_n=6 with at most 20 samples,
+and each full workload's seed-0 call against the benchmark's references.
 """
 import importlib.util
+import json
 import sys
 import time
 from dataclasses import replace
@@ -53,3 +55,14 @@ def test_workload_runs_on_a_small_mesh(name):
     metrics = tracing.layer_metrics(tracing.span_totals(tracer.spans), wall)
     assert metrics["trace.spans"] > 0
     assert metrics["linalg.solve_calls"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_seed_zero_outputs_match_the_benchmark_references(name):
+    # The benchmark checks every seed-0 call against reference.json to a
+    # relative 1e-9; a change that moves the outputs fails here first.
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    workload = workloads.WORKLOADS[name]
+    cfg = workload.config(reference["seed"])
+    out = workloads.call(workload, cfg)
+    assert workloads.check(workload, cfg, out, reference["workloads"][name]) == []

@@ -8,12 +8,14 @@ from scipy.sparse.linalg import spsolve
 
 from randhelm import (
     DGSpace,
+    RunConfig,
     SingularMatrixError,
     SolverCounters,
     build_uniform_mesh,
     get_assembler,
     lu_factorize,
     lu_solve,
+    run_multimodes,
 )
 import randhelm.linalg as linalg
 from randhelm.linalg import sample_workers, single_blas_thread, solves_are_pinned
@@ -104,6 +106,71 @@ def test_multi_rhs_is_bit_identical_to_columnwise(rng):
         X = lu_solve(factors, B)
         for j in range(32):
             assert np.array_equal(X[:, j], lu_solve(factors, B[:, j]))
+
+
+def _openblas_threads(set_threads) -> int:
+    """The process's OpenBLAS thread count, read by setting it back."""
+    count = set_threads(1)
+    set_threads(count)
+    return count
+
+
+@pytest.mark.skipif(not solves_are_pinned(), reason="SuperLU's OpenBLAS cannot pin a thread")
+def test_results_do_not_depend_on_the_openblas_thread_count(rng):
+    # OpenBLAS defaults to one thread per core; a threaded factorization or
+    # substitution moved the last digits of psi at n=30.
+    set_threads = linalg._blas_threads_setter()
+    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=20, mesh_n=30)
+    system = get_assembler(DGSpace(build_uniform_mesh(30), 1)).constant(5.0)
+    B = rng.standard_normal((system.matrix.shape[0], 16)) * (1.0 + 1.0j)
+    caller = set_threads(2)
+    try:
+        outputs = {}
+        for count in (2, 1):
+            set_threads(count)
+            res = run_multimodes(cfg)
+            X = lu_solve(lu_factorize(system), B)
+            outputs[count] = [
+                a.tobytes()
+                for a in (res.psi.coefficients, *(f.coefficients for f in res.phis),
+                          res.mode_l2, res.mode_h1, X)
+            ]
+            assert _openblas_threads(set_threads) == count
+    finally:
+        set_threads(caller)
+    assert outputs[2] == outputs[1]
+
+
+def test_pins_from_several_threads_set_the_count_once(monkeypatch):
+    counts = [4]
+
+    def set_threads(n):
+        counts.append(n)
+        return counts[-2]
+
+    monkeypatch.setattr(linalg, "_blas_threads_setter", lambda: set_threads)
+    inside = threading.Barrier(3, timeout=10)
+    pinned = []
+
+    def worker():
+        with single_blas_thread() as outer:
+            inside.wait()  # all three are in at once
+            with single_blas_thread() as nested:
+                pinned.append(outer and nested)
+
+    def run_workers():
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    run_workers()
+    assert counts == [4, 1, 4]
+    with single_blas_thread():
+        run_workers()
+    assert counts == [4, 1, 4, 1, 4]
+    assert pinned == [True] * 6
 
 
 def test_solution_matches_direct_solver(rng):

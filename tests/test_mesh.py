@@ -175,3 +175,21 @@ def test_elements_and_edges_match_a_per_side_loop(n):
     assert np.all(mesh.edge_elems[ie, 0] < mesh.edge_elems[ie, 1])
     assert np.all(mesh.edge_elems[be, 1] == -1)
     assert be.tolist() == [i for i, (_, k) in enumerate(adj) if k == -1]
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+def test_edge_keys_number_the_edges_as_the_vertex_pairs_do(n):
+    # The edges are numbered by one unique over the keys a * nv + b of the
+    # sorted pairs; a unique over the pair rows gives the same numbering.
+    mesh = build_uniform_mesh(n)
+    sides = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    pairs, first, inverse = np.unique(sides, axis=0, return_index=True, return_inverse=True)
+    keys, key_first, key_inverse = np.unique(
+        sides[:, 0] * mesh.n_vertices + sides[:, 1], return_index=True, return_inverse=True
+    )
+    assert np.array_equal(np.column_stack(np.divmod(keys, mesh.n_vertices)), pairs)
+    assert np.array_equal(key_first, first)
+    assert np.array_equal(key_inverse, inverse.reshape(-1))
+    order = np.argsort(first)
+    assert mesh.edge_vertices.tobytes() == pairs[order].tobytes()
+    assert mesh.edge_elems[:, 0].tobytes() == (first[order] // 3).tobytes()

@@ -1,7 +1,10 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from randhelm import (
     DGFunction,
@@ -208,3 +211,74 @@ def test_basis_evaluations_are_c_contiguous(mesh4, degree, rng):
     t = space.tables
     for table in (t.B, t.Gphys, t.trace, t.trace_dt, *t.trace_dn.values()):
         assert table.flags.c_contiguous
+
+
+def _polyval_derivative(space, points, a, b):
+    """(d/dx)^a (d/dy)^b of the basis by numpy's polyval2d, in C order."""
+    c = npoly.polyder(npoly.polyder(space._coef, b, axis=1), a, axis=0)
+    return np.ascontiguousarray(npoly.polyval2d(points[:, 0], points[:, 1], c).T)
+
+
+def _polyval_directional(space, points, dirs, order):
+    return sum(
+        (comb(order, a) * dirs[:, 0] ** a * dirs[:, 1] ** (order - a))[:, None]
+        * _polyval_derivative(space, points, a, order - a)
+        for a in range(order + 1)
+    )
+
+
+def _einsum_tables(space):
+    """The tables built one side at a time, with einsum for the maps and
+    the directional derivatives evaluated per trace."""
+    mesh, r, ld = space.mesh, space.degree, space.local_dim
+    gref = np.stack(
+        [_polyval_derivative(space, mesh.ref_volume_points, 1, 0),
+         _polyval_derivative(space, mesh.ref_volume_points, 0, 1)], axis=-1
+    )
+    tables = {"Gphys": np.einsum("qid,edc->eqic", gref, mesh.jac_inv)}
+    ne, nqe = mesh.n_edges, mesh.ref_edge_points.shape[0]
+    names = ["trace", "trace_dt", *(f"trace_dn{j}" for j in range(1, r + 1))]
+    tables.update({name: np.zeros((ne, 2, nqe, ld)) for name in names})
+    for side in (0, 1):
+        valid = mesh.edge_elems[:, side] >= 0
+        el = np.where(valid, mesh.edge_elems[:, side], 0)
+        d = mesh.edge_points - mesh.vertices[mesh.elements[el, 0]][:, None, :]
+        flat = np.einsum("eij,eqj->eqi", mesh.jac_inv[el], d).reshape(-1, 2)
+        cn = np.repeat(np.einsum("eij,ej->ei", mesh.jac_inv[el], mesh.edge_normal), nqe, axis=0)
+        ct = np.repeat(np.einsum("eij,ej->ei", mesh.jac_inv[el], mesh.edge_tangent), nqe, axis=0)
+        values = {
+            "trace": _polyval_derivative(space, flat, 0, 0),
+            "trace_dt": _polyval_directional(space, flat, ct, 1),
+            **{f"trace_dn{j}": _polyval_directional(space, flat, cn, j) for j in range(1, r + 1)},
+        }
+        for name, vals in values.items():
+            vals = vals.reshape(ne, nqe, ld)
+            vals[~valid] = 0.0
+            tables[name][:, side] = vals
+    return tables
+
+
+@pytest.mark.parametrize("n, degree", [(12, 1), (7, 2), (5, 3)])
+def test_tables_match_the_einsum_and_polyval_forms_bit_for_bit(n, degree):
+    space = DGSpace(build_uniform_mesh(n), degree)
+    t = space.tables
+    got = {"Gphys": t.Gphys, "trace": t.trace, "trace_dt": t.trace_dt}
+    got.update({f"trace_dn{j}": table for j, table in t.trace_dn.items()})
+    want = _einsum_tables(space)
+    assert got.keys() == want.keys()
+    for name, table in got.items():
+        assert table.dtype == want[name].dtype and table.shape == want[name].shape, name
+        assert table.tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_basis_evaluations_match_polyval2d_bit_for_bit(mesh4, degree, rng):
+    space = DGSpace(mesh4, degree)
+    pts = np.concatenate([rng.random((50, 2)) - 0.25, space.nodes, [[0.0, 0.0], [-0.0, 1.0]]])
+    dirs = rng.standard_normal((pts.shape[0], 2))
+    for order in range(degree + 2):
+        for a in range(order + 1):
+            want = _polyval_derivative(space, pts, a, order - a)
+            assert space._derivative(pts, a, order - a).tobytes() == want.tobytes()
+        want = _polyval_directional(space, pts, dirs, order)
+        assert space.basis_directional(pts, dirs, order).tobytes() == np.asarray(want).tobytes()
