@@ -20,7 +20,6 @@ config = RunConfig(
 )
 result = run_multimodes(config)
 
-print(f"sigma_hat = {result.sigma_hat:.2f} (coarse a priori contraction bound)")
 print(f"{'mode':>4} {'mean L2':>12} {'mean H1h':>12} {'rho':>8}")
 for n in range(config.num_modes):
     rho = f"{result.rho[n - 1]:8.4f}" if n >= 1 else ""

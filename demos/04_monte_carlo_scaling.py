@@ -1,10 +1,11 @@
 """Statistical error of the mode-0 sample mean versus the sample count.
 
-One long chain of samples is run with a single factorization; the
-running mean is snapshotted at each requested M and compared with the
-full-chain reference.  The log-log slope should be near -1/2.  The
-radial source is used because it depends on the sampled medium; a
-deterministic source would make mode 0 noise-free.
+One long chain of samples is run with a single factorization, and so
+is a run of its first M samples for each requested M; each shorter
+run's mean is compared with the full-chain reference.  The log-log
+slope should be near -1/2.  The radial source is used because it
+depends on the sampled medium; a deterministic source would make mode 0
+noise-free.
 """
 from randhelm import RunConfig, SourceSpec, StudySpec, run_m_scaling
 

@@ -55,7 +55,6 @@ class RunConfig:
     penalties: PenaltySet = field(default_factory=PenaltySet)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     source: SourceSpec = field(default_factory=SourceSpec)
-    c0_hint: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.k < inf:
@@ -68,13 +67,6 @@ class RunConfig:
             raise ValueError("N and M must be at least 1")
         if self.mesh_n < 1 or self.degree < 1:
             raise ValueError("mesh_n and degree must be at least 1")
-        if not 0.0 < self.c0_hint < inf:
-            raise ValueError("c0_hint must be positive and finite")
-
-    @property
-    def sigma_hat(self) -> float:
-        """Empirical contraction diagnostic 4*eps*sqrt(C0)*(1+k)."""
-        return 4.0 * self.epsilon * np.sqrt(self.c0_hint) * (1.0 + self.k)
 
 
 @dataclass
@@ -87,9 +79,7 @@ class RunResult:
     mode_l2: np.ndarray             # sample-mean L2 norm per mode
     mode_h1: np.ndarray             # sample-mean broken-H1 norm per mode
     rho: np.ndarray                 # decay ratios eps*|u_n|/|u_{n-1}|
-    sigma_hat: float
     counters: SolverCounters
-    phi0_snapshots: dict = field(default_factory=dict)
 
     def psi_truncated(self, num_modes: int) -> DGFunction:
         """Rebuild the mean field from the first `num_modes` stored modes."""
@@ -129,7 +119,7 @@ def mode_rhs_update(asm, u_n: DGFunction, u_prev: DGFunction, media: MediaSample
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
 
 
-def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapshot_sizes):
+def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
     """Mode recursion for one half-block of realizations, start to finish.
 
     Draws the media, builds all loads with one sparse product, and
@@ -153,9 +143,8 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapsho
     thread: the per-mode sums over the half-block's samples, shape
     (N, ndof); the summed L2 and broken-H1 mode norms, shape (N, 2);
     sample 0's N modes, shape (N, ndof), in the half-block that holds
-    it, else None; a dict from each snapshot size m in js[0]+1..js[-1]+1 to the
-    sum of mode 0 over samples js[0]..m-1; and the half-block's own
-    `SolverCounters`.  Every sum runs over the samples in order.
+    it, else None; and the half-block's own `SolverCounters`.  Every sum
+    runs over the samples in order.
     """
     counters = SolverCounters()
     mesh, nb, ndof = asm.mesh, len(js), asm.space.ndof
@@ -175,7 +164,6 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapsho
     sums = np.empty((N, ndof), dtype=complex)
     norms = np.empty((nb, N, 2))
     first = np.empty((N, ndof), dtype=complex) if js.start == 0 else None
-    prefixes = {}
     for n in range(N):
         if n > 0:
             rhs = real_product(current, u.ravel()).reshape(nb, ndof)
@@ -196,50 +184,33 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms, snapsho
         u.sum(axis=0, out=sums[n])
         if first is not None:
             first[n] = u[0]
-        if n == 0:
-            for m in snapshot_sizes:
-                if js.start < m <= js.stop:
-                    prefixes[m] = u[: m - js.start].sum(axis=0)
-    return sums, norms.sum(axis=0), first, prefixes, counters
-
-
-def _snapshot_size(m, M) -> int:
-    """A `phi0_snapshot_sizes` entry as an int; ValueError unless it is an
-    integer (numpy's included, bool not) in 1..M."""
-    size = _integer(m, "phi0 snapshot size")
-    if not 1 <= size <= M:
-        raise ValueError(f"phi0 snapshot size {size} lies outside 1..{M}")
-    return size
+    return sums, norms.sum(axis=0), first, counters
 
 
 def run_multimodes(
     config: RunConfig,
     threads: int = 1,
     refactor_each_solve: bool = False,
-    phi0_snapshot_sizes=(),
 ) -> RunResult:
     """Run the single-factorization multi-modes Monte Carlo algorithm.
 
     Exactly one factorization is performed regardless of M and N (unless
     `refactor_each_solve` is set, a diagnostic mode used to verify the
-    factor-reuse equivalence).  `phi0_snapshot_sizes` requests copies of
-    the mode-0 sample average after the given sample counts, each an
-    integer in 1..M (others raise `ValueError`).  The
-    half-blocks run on one worker thread per core of the process's CPU
-    affinity, with SuperLU's OpenBLAS on one thread in the whole process
-    and glibc's malloc held to one arena (`sample_workers`).  Results do
-    not depend on scheduling, core count or OpenBLAS's thread count.  A
-    half-block holds two of its modes at a time and hands back sums, so
-    memory grows with N only by the (N, ndof) sums.  The set-up (`uniform_assembler`) is kept
-    for the next call; the operator and its factorization are not.  The
-    counters time the phases `setup`, `assembly`, `factorize`, `solve`,
-    `sample_loop` and `sample_loop_cpu`; `solve` runs on the workers and
-    is summed over them, and the loop's CPU over wall seconds are the
-    cores it used.  `threads` has no effect; it is kept only because the
-    benchmark scripts in `perfbench/` pass it.
+    factor-reuse equivalence).  The half-blocks run on one worker thread
+    per core of the process's CPU affinity, with SuperLU's OpenBLAS on one
+    thread in the whole process and glibc's malloc held to one arena
+    (`sample_workers`).  Results do not depend on scheduling, core count
+    or OpenBLAS's thread count.  A half-block holds two of its modes at a
+    time and hands back sums, so memory grows with N only by the (N, ndof)
+    sums.  The set-up (`uniform_assembler`) is kept for the next call;
+    the operator and its factorization are not.  The counters time the
+    phases `setup`, `assembly`, `factorize`, `solve`, `sample_loop` and
+    `sample_loop_cpu`; `solve` runs on the workers and is summed over
+    them, and the loop's CPU over wall seconds are the cores it used.
+    `threads` has no effect; it is kept only because the benchmark
+    scripts in `perfbench/` pass it.
     """
     N, M = config.num_modes, config.num_samples
-    snapshot_sizes = sorted({_snapshot_size(m, M) for m in phi0_snapshot_sizes})
     counters = SolverCounters()
     with counters.timed("setup"):
         asm = uniform_assembler(config.mesh_n, config.degree, config.penalties)
@@ -252,7 +223,6 @@ def run_multimodes(
     phi_sums = np.zeros((N, space.ndof), dtype=complex)
     norm_sums = np.zeros((N, 2))  # L2 and broken H1
     sample_field = None
-    snapshots: dict[int, np.ndarray] = {}
 
     mass, stiff, jump, _ = asm.norm_forms
     norm_forms = (mass, (stiff + jump).tocsr())
@@ -260,19 +230,15 @@ def run_multimodes(
     blocks = [range(start, min(start + block, M)) for start in range(0, M, block)]
 
     def run_block(js):
-        return _block_modes(
-            js, config, asm, factors, system, refactor_each_solve, norm_forms, snapshot_sizes
-        )
+        return _block_modes(js, config, asm, factors, system, refactor_each_solve, norm_forms)
 
     with sample_workers(counters) as in_sample_order:
-        for sums, norms, first, prefixes, block_counters in in_sample_order(run_block, blocks):
+        for sums, norms, first, block_counters in in_sample_order(run_block, blocks):
             counters += block_counters
             phi_sums += sums
             norm_sums += norms
             if first is not None:
                 sample_field = DGFunction(space, sum(eps_pow[n] * first[n] for n in range(N)))
-            for m, prefix in prefixes.items():
-                snapshots[m] = (phi_sums[0] - sums[0] + prefix) / m
         # Free these before the heap trim on exit: freed after it, they
         # would stay resident into the next call.
         del system, factors, norm_forms
@@ -289,7 +255,5 @@ def run_multimodes(
         mode_l2=mode_l2,
         mode_h1=mode_h1,
         rho=rho,
-        sigma_hat=config.sigma_hat,
         counters=counters,
-        phi0_snapshots={m: DGFunction(space, v) for m, v in snapshots.items()},
     )

@@ -199,9 +199,17 @@ class DGFunction:
         return vals, np.einsum("qic,i->qc", gphys, local)
 
     def evaluate_physical(self, points) -> np.ndarray:
-        """Evaluate at physical points; ties on edges go to the smaller label."""
+        """Evaluate at physical points; ties on edges go to the smaller label.
+
+        A point that is not finite or lies outside the closed square
+        [-0.5, 0.5]^2 is a ValueError naming it.
+        """
         mesh = self.space.mesh
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        outside = ~np.all(np.abs(pts) <= 0.5, axis=1)  # NaN compares False
+        if outside.any():
+            x, y = pts[np.argmax(outside)].tolist()
+            raise ValueError(f"point ({x}, {y}) lies outside the closed square [-0.5, 0.5]^2")
         out = np.empty(pts.shape[0], dtype=complex)
         n = mesh.n
         for p, (x, y) in enumerate(pts):

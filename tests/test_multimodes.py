@@ -190,9 +190,6 @@ def _assert_same_run(a, b):
     assert np.array_equal(a.mode_l2, b.mode_l2)
     assert np.array_equal(a.mode_h1, b.mode_h1)
     assert np.array_equal(a.sample_field.coefficients, b.sample_field.coefficients)
-    assert a.phi0_snapshots.keys() == b.phi0_snapshots.keys()
-    for m, snap in a.phi0_snapshots.items():
-        assert np.array_equal(snap.coefficients, b.phi0_snapshots[m].coefficients)
     assert (a.counters.factorizations, a.counters.solves) == (
         b.counters.factorizations,
         b.counters.solves,
@@ -209,19 +206,18 @@ def test_inline_substitutions_match_threaded(monkeypatch, degree, source):
         k=5.0, epsilon=0.2, num_modes=3, num_samples=35, mesh_n=30, degree=degree,
         source=source,
     )
-    sizes = (5, 16, 20, 35)
-    threaded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+    threaded = run_multimodes(cfg)
     assert threaded.counters.solves == cfg.num_samples * cfg.num_modes
     # More workers than cores and frequent thread switches.
     monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        crowded = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+        crowded = run_multimodes(cfg)
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.setattr(linalg, "_worker_count", lambda pinned: None)
-    inline = run_multimodes(cfg, phi0_snapshot_sizes=sizes)
+    inline = run_multimodes(cfg)
     _assert_same_run(threaded, inline)
     _assert_same_run(crowded, inline)
 
@@ -290,34 +286,6 @@ def test_mode_norm_diagnostics():
     assert np.allclose(res.mode_h1, h1_ref, rtol=1e-12, atol=0.0)
     expected_rho = cfg.epsilon * res.mode_l2[1:] / res.mode_l2[:-1]
     assert np.allclose(res.rho, expected_rho, atol=1e-14)
-    assert res.sigma_hat == pytest.approx(4.0 * cfg.epsilon * (1.0 + cfg.k))
-
-
-def test_phi0_snapshots_match_shorter_runs():
-    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=1, num_samples=50, mesh_n=8)
-    res = run_multimodes(cfg, phi0_snapshot_sizes=(10, 40))
-    for m in (10, 40):
-        short = run_multimodes(
-            RunConfig(k=5.0, epsilon=0.1, num_modes=1, num_samples=m, mesh_n=8)
-        )
-        assert np.allclose(
-            res.phi0_snapshots[m].coefficients,
-            short.phis[0].coefficients,
-            atol=1e-13,
-        )
-
-
-def test_bad_phi0_snapshot_sizes_are_errors():
-    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=1, num_samples=5, mesh_n=4)
-    for sizes, bad in (((0, 3, 9), 0), ((3, 9), 9), ((6,), 6)):
-        with pytest.raises(ValueError, match=f"snapshot size {bad} lies outside 1..5"):
-            run_multimodes(cfg, phi0_snapshot_sizes=sizes)
-    for sizes, bad in (((2.5, 3), "2.5"), ((3, 2.0), "2.0"), ((True,), "True"), (("3",), "'3'")):
-        with pytest.raises(ValueError, match=f"snapshot size {bad} is not an integer"):
-            run_multimodes(cfg, phi0_snapshot_sizes=sizes)
-    assert run_multimodes(cfg, phi0_snapshot_sizes=(1, 5)).phi0_snapshots.keys() == {1, 5}
-    sizes = np.array([2, 4], dtype=np.int32)
-    assert run_multimodes(cfg, phi0_snapshot_sizes=sizes).phi0_snapshots.keys() == {2, 4}
 
 
 def test_mode_rhs_update_formula():
@@ -366,8 +334,6 @@ def test_config_validation():
         RunConfig(num_samples=0)
     with pytest.raises(ValueError):
         RunConfig(mesh_n=0)
-    with pytest.raises(ValueError):
-        RunConfig(c0_hint=0.0)
     # Counts must be integers (numpy's too, bool not), named when they are not.
     for name in ("num_modes", "num_samples", "mesh_n", "degree"):
         for bad in (2.5, 2.0, True, "3"):
@@ -378,8 +344,6 @@ def test_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             RunConfig(k=bad)
-        with pytest.raises(ValueError):
-            RunConfig(c0_hint=bad)
 
 
 @pytest.mark.parametrize("workers", [3, None])

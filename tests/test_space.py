@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import numpy as np
@@ -106,6 +107,20 @@ def test_evaluate_physical_constant_everywhere(space4, rng):
     pts = np.vstack([pts, [[0.0, 0.0], [0.1, 0.1], [-0.25, -0.25], [0.5, 0.5], [-0.5, -0.5]]])
     vals = f.evaluate_physical(pts)
     assert np.allclose(vals, 2.5 + 0.5j, atol=1e-12)
+
+
+def test_evaluate_physical_rejects_points_off_the_domain(space4):
+    f = DGFunction(space4, np.full(space4.ndof, 2.5 + 0.5j))
+    for bad, shown in (
+        ((5.0, 5.0), "(5.0, 5.0)"),
+        ((0.5, -0.5000001), "(0.5, -0.5000001)"),
+        ((float("nan"), 0.0), "(nan, 0.0)"),
+        ((0.0, float("inf")), "(0.0, inf)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"point {shown} lies outside")):
+            f.evaluate_physical(np.array([[0.1, 0.2], bad]))
+    corners = [[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.5, 0.5]]
+    assert np.allclose(f.evaluate_physical(corners), 2.5 + 0.5j, atol=1e-12)
 
 
 def test_broken_norms_of_constant_one(space4, penalties):

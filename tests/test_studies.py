@@ -19,8 +19,10 @@ from randhelm import (
     export_cross_section,
     export_field,
     run_full,
+    compare_fields,
     run_m_scaling,
     run_manufactured_convergence,
+    run_multimodes,
     solve_deterministic,
 )
 from randhelm.studies import config_from_dict, config_to_dict, parse_config, write_config
@@ -32,7 +34,6 @@ def test_config_round_trip(tmp_path):
         penalties=PenaltySet(gamma0=9.5, gamma_higher=(0.2,), beta1=0.05),
         noise=NoiseSpec(low=-0.75, high=0.5, seed=99),
         source=SourceSpec(kind="radial_wave"),
-        c0_hint=2.0,
     )
     path = os.path.join(tmp_path, "config.txt")
     write_config(config_to_dict(cfg), path)
@@ -67,7 +68,6 @@ def _run_configs(draw):
         source=SourceSpec(
             kind=draw(st.sampled_from(["constant", "radial_wave"])), value=draw(_finite)
         ),
-        c0_hint=draw(_positive),
     )
 
 
@@ -93,6 +93,9 @@ def test_config_defaults_and_unknown_keys():
     # Study keys belong to StudySpec.from_dict only.
     with pytest.raises(ValueError, match="'study'"):
         config_from_dict({"study": "compare"})
+    # A config file that still carries C0_hint fails and names the key.
+    with pytest.raises(ValueError, match="unknown config key.*'C0_hint'"):
+        config_from_dict({"C0_hint": "1"})
 
 
 def test_parse_config_repeated_key(tmp_path):
@@ -161,6 +164,10 @@ def test_study_spec_validation():
     ):
         with pytest.raises(ValueError, match=f"^{key} .* is not an integer$"):
             StudySpec(kind="m_scaling", base=base, **sweep)
+    for eps_values in ((0.1, 1.5), (-0.1, 0.2), (0.1, 1.0), (0.1, float("nan"))):
+        with pytest.raises(ValueError, match=r"eps_values must lie in \[0, 1\)"):
+            StudySpec(kind="epsilon_sweep", base=base, eps_values=eps_values)
+    assert StudySpec(kind="epsilon_sweep", base=base, eps_values=(0.0, 0.5)).eps_values == (0.0, 0.5)
     spec = StudySpec(
         kind="m_scaling", base=base, mesh_sizes=(np.int32(4),), m_values=(np.int64(2), 4),
         n_values=(np.int64(1),), m_ref=np.int64(64),
@@ -235,6 +242,21 @@ def test_m_scaling_requires_larger_reference():
     out = run_m_scaling(StudySpec(kind="m_scaling", base=base, m_values=(8, 32), m_ref=256))
     assert len(out["rows"]) == 2
     assert out["rows"][0]["err_l2"] > out["rows"][1]["err_l2"]
+
+
+def test_m_scaling_rows_are_shorter_runs():
+    # Each row is the error of a run of the chain's first M samples: the
+    # noise is keyed by (seed, sample), so it is the chain's own prefix.
+    base = RunConfig(k=5.0, epsilon=0.1, mesh_n=8, source=SourceSpec(kind="radial_wave"))
+    spec = StudySpec(kind="m_scaling", base=base, m_values=(5, 16, 20, 35), m_ref=50)
+    out = run_m_scaling(spec)
+    phi_ref = out["result"].phis[0]
+    assert out["result"].config == replace(base, num_modes=1, num_samples=50)
+    for row, m in zip(out["rows"], spec.m_values, strict=True):
+        short = run_multimodes(replace(base, num_modes=1, num_samples=m))
+        assert row["M"] == m
+        assert row["err_l2"] == compare_fields(short.phis[0], phi_ref)["abs_l2"]
+        assert row["err_l2"] > 0.0
 
 
 def test_export_cross_section(tmp_path):
