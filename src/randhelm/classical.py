@@ -60,7 +60,9 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
         with sample_counters.timed("assembly"):
             media = sample_media(asm.mesh, config.noise, j)
             system = asm.variable(config.k, media, config.epsilon)
-            b = asm.rhs(source_volume(config.source, asm.mesh, media, config.epsilon, config.k))
+            b = asm.rhs(
+                source_volume(config.source, asm.mesh, media.eta_volume, config.epsilon, config.k)
+            )
         x = lu_solve(lu_factorize(system, sample_counters), b, sample_counters)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"nonfinite values in the solution of sample {j}")

@@ -13,44 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TriMesh", "build_uniform_mesh", "reference_quadrature"]
+__all__ = ["TriMesh", "build_uniform_mesh"]
 
 
-# Symmetric quadrature rules on the reference triangle with vertices
-# (0,0), (1,0), (0,1).  Weights sum to the reference area 1/2.
-_TRI_D2_PTS = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-_TRI_D2_WTS = np.full(3, 1.0 / 6.0)
-
+# The 6-point symmetric degree-4 rule on the reference triangle with
+# vertices (0,0), (1,0), (0,1); its weights sum to the reference area 1/2.
 _a1, _a2 = 0.445948490915965, 0.091576213509771
 _w1, _w2 = 0.223381589678011, 0.109951743655322
-_TRI_D4_PTS = np.array(
+_TRI_POINTS = np.array(
     [
         [_a1, _a1], [1.0 - 2.0 * _a1, _a1], [_a1, 1.0 - 2.0 * _a1],
         [_a2, _a2], [1.0 - 2.0 * _a2, _a2], [_a2, 1.0 - 2.0 * _a2],
     ]
 )
-_TRI_D4_WTS = 0.5 * np.array([_w1, _w1, _w1, _w2, _w2, _w2])
+_TRI_WEIGHTS = 0.5 * np.array([_w1, _w1, _w1, _w2, _w2, _w2])
 
-
-def reference_quadrature(kind: str, degree: int):
-    """Return (points, weights) of a reference quadrature rule.
-
-    kind='triangle': symmetric rule on the unit reference triangle,
-    degree in {2, 4}.  kind='edge': Gauss-Legendre rule with `degree`
-    points (2..4) on the unit interval [0, 1].
-    """
-    if kind == "triangle":
-        if degree == 2:
-            return _TRI_D2_PTS.copy(), _TRI_D2_WTS.copy()
-        if degree == 4:
-            return _TRI_D4_PTS.copy(), _TRI_D4_WTS.copy()
-        raise ValueError(f"unsupported triangle quadrature degree {degree}")
-    if kind == "edge":
-        if degree not in (2, 3, 4):
-            raise ValueError(f"unsupported edge Gauss point count {degree}")
-        x, w = np.polynomial.legendre.leggauss(degree)
-        return 0.5 * (x + 1.0), 0.5 * w
-    raise ValueError(f"unknown quadrature kind {kind!r}")
+# 3-point Gauss-Legendre rule on the unit interval [0, 1].
+_x, _w = np.polynomial.legendre.leggauss(3)
+_EDGE_POINTS, _EDGE_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
 
 
 @dataclass
@@ -179,13 +159,11 @@ def build_uniform_mesh(n: int) -> TriMesh:
     interior = np.flatnonzero(edge_elems[:, 1] >= 0)
     boundary = np.flatnonzero(edge_elems[:, 1] < 0)
 
-    ref_vp, ref_vw = reference_quadrature("triangle", 4)
-    volume_points = p0[:, None, :] + np.einsum("eij,qj->eqi", jac, ref_vp)
-    volume_weights = ref_vw[None, :] * det[:, None]
+    volume_points = p0[:, None, :] + np.einsum("eij,qj->eqi", jac, _TRI_POINTS)
+    volume_weights = _TRI_WEIGHTS[None, :] * det[:, None]
 
-    ref_ep, ref_ew = reference_quadrature("edge", 3)
-    edge_pts = pa[:, None, :] + ref_ep[None, :, None] * tang[:, None, :]
-    edge_weights = ref_ew[None, :] * edge_length[:, None]
+    edge_pts = pa[:, None, :] + _EDGE_POINTS[None, :, None] * tang[:, None, :]
+    edge_weights = _EDGE_WEIGHTS[None, :] * edge_length[:, None]
 
     mesh = TriMesh(
         n=n,
@@ -201,10 +179,10 @@ def build_uniform_mesh(n: int) -> TriMesh:
         edge_tangent=edge_tangent,
         interior_edges=interior,
         boundary_edges=boundary,
-        ref_volume_points=ref_vp,
+        ref_volume_points=_TRI_POINTS,
         volume_points=volume_points,
         volume_weights=volume_weights,
-        ref_edge_points=ref_ep,
+        ref_edge_points=_EDGE_POINTS,
         edge_points=edge_pts,
         edge_weights=edge_weights,
     )

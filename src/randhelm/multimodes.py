@@ -119,13 +119,14 @@ def mode_rhs_update(asm, u_n: DGFunction, u_prev: DGFunction, media: MediaSample
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
 
 
-def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
+def _block_modes(js, config, asm, factors, norm_forms):
     """Mode recursion for one half-block of realizations, start to finish.
 
     Draws the media, builds all loads with one sparse product, and
     advances the samples through the modes together: one multi-column
-    substitution per mode, whose columns are independent, so each sample
-    gets what per-sample solves would give (`mode_rhs_update`).
+    substitution per mode with the shared factorization `factors` of A0.
+    Its columns are independent, so each sample gets what per-sample
+    solves would give (`mode_rhs_update`, one column at a time).
 
     The recursion runs in coefficient space.  The load of mode n+1 is
     2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v).  Each
@@ -172,8 +173,6 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
                 rhs += real_product(previous, u_prev.ravel()).reshape(nb, ndof)
             rhs = rhs.T
             u_prev = u  # u_{n-2} is no longer needed
-        if refactor:
-            factors = lu_factorize(system, counters)
         # SuperLU returns the columns in Fortran order, so each sample's
         # mode is one contiguous row of u.
         u = lu_solve(factors, rhs, counters).T
@@ -187,18 +186,13 @@ def _block_modes(js, config, asm, factors, system, refactor, norm_forms):
     return sums, norms.sum(axis=0), first, counters
 
 
-def run_multimodes(
-    config: RunConfig,
-    threads: int = 1,
-    refactor_each_solve: bool = False,
-) -> RunResult:
+def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     """Run the single-factorization multi-modes Monte Carlo algorithm.
 
-    Exactly one factorization is performed regardless of M and N (unless
-    `refactor_each_solve` is set, a diagnostic mode used to verify the
-    factor-reuse equivalence).  The half-blocks run on one worker thread
-    per core of the process's CPU affinity, with SuperLU's OpenBLAS on one
-    thread in the whole process and glibc's malloc held to one arena
+    Exactly one factorization of A0 is performed regardless of M and N,
+    and all M*N substitutions reuse it.  The half-blocks run on one worker
+    thread per core of the process's CPU affinity, with SuperLU's OpenBLAS
+    on one thread in the whole process and glibc's malloc held to one arena
     (`sample_workers`).  Results do not depend on scheduling, core count
     or OpenBLAS's thread count.  A half-block holds two of its modes at a
     time and hands back sums, so memory grows with N only by the (N, ndof)
@@ -217,7 +211,7 @@ def run_multimodes(
     with counters.timed("assembly"):
         system = asm.constant(config.k)
     space = asm.space
-    factors = None if refactor_each_solve else lu_factorize(system, counters)
+    factors = lu_factorize(system, counters)
 
     eps_pow = config.epsilon ** np.arange(N)
     phi_sums = np.zeros((N, space.ndof), dtype=complex)
@@ -226,11 +220,10 @@ def run_multimodes(
 
     mass, stiff, jump, _ = asm.norm_forms
     norm_forms = (mass, (stiff + jump).tocsr())
-    block = 1 if refactor_each_solve else _BLOCK
-    blocks = [range(start, min(start + block, M)) for start in range(0, M, block)]
+    blocks = [range(start, min(start + _BLOCK, M)) for start in range(0, M, _BLOCK)]
 
     def run_block(js):
-        return _block_modes(js, config, asm, factors, system, refactor_each_solve, norm_forms)
+        return _block_modes(js, config, asm, factors, norm_forms)
 
     with sample_workers(counters) as in_sample_order:
         for sums, norms, first, block_counters in in_sample_order(run_block, blocks):

@@ -51,10 +51,8 @@ class NoiseSpec:
 class MediaSample:
     """One realization of eta on a mesh's quadrature layout."""
 
-    index: int
     eta_volume: np.ndarray    # (n_elements, nq)
     eta_boundary: np.ndarray  # (n_boundary_edges, nqe)
-    spec: NoiseSpec
 
 
 def sample_media(mesh: TriMesh, spec: NoiseSpec, index: int) -> MediaSample:
@@ -62,7 +60,8 @@ def sample_media(mesh: TriMesh, spec: NoiseSpec, index: int) -> MediaSample:
 
     The Philox counter-based generator is keyed by (seed, index), and the
     whole layout is drawn in one fixed pass, so regenerating any index in
-    any order reproduces identical values.
+    any order reproduces identical values.  With low == high every value
+    is exactly low, except that low = -0.0 comes back as +0.0.
     """
     if index < 0:
         raise ValueError("sample index must be nonnegative")
@@ -70,11 +69,6 @@ def sample_media(mesh: TriMesh, spec: NoiseSpec, index: int) -> MediaSample:
     gen = np.random.Generator(np.random.Philox(key=key))
     nel, nq = mesh.volume_weights.shape
     nbe, nqe = mesh.boundary_edges.size, mesh.ref_edge_points.size
-    if spec.low == spec.high:
-        vol = np.full((nel, nq), spec.low)
-        bnd = np.full((nbe, nqe), spec.low)
-    else:
-        vol = gen.uniform(spec.low, spec.high, size=(nel, nq))
-        bnd = gen.uniform(spec.low, spec.high, size=(nbe, nqe))
-    return MediaSample(index, vol, bnd, spec)
-
+    vol = gen.uniform(spec.low, spec.high, size=(nel, nq))
+    bnd = gen.uniform(spec.low, spec.high, size=(nbe, nqe))
+    return MediaSample(vol, bnd)

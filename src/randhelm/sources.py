@@ -14,7 +14,6 @@ from math import isfinite
 import numpy as np
 
 from .mesh import TriMesh
-from .randomness import MediaSample
 
 __all__ = ["SourceSpec", "source_volume"]
 
@@ -40,15 +39,14 @@ def _radial(rho, alpha, k):
 
 
 def source_volume(
-    spec: SourceSpec, mesh: TriMesh, media: MediaSample | np.ndarray | None,
-    epsilon: float, k: float,
+    spec: SourceSpec, mesh: TriMesh, eta: np.ndarray | None, epsilon: float, k: float,
 ) -> np.ndarray:
     """Real source values at every volume quadrature point, shape (nel, nq).
 
-    `media` is one sample, None for the unperturbed medium, or the eta of a
-    batch stacked on leading axes, (..., nel, nq), which the result keeps.
+    `eta` is one sample's `eta_volume`, (nel, nq), the eta of a batch
+    stacked on leading axes, (..., nel, nq), which the result keeps, or
+    None for the unperturbed medium.
     """
-    eta = media.eta_volume if isinstance(media, MediaSample) else media
     shape = mesh.volume_weights.shape if eta is None else eta.shape
     if spec.kind == "constant":
         return np.full(shape, float(spec.value))

@@ -326,7 +326,7 @@ def test_volume_loads_match_per_sample_rhs(degree, source, nb):
     loads = asm.volume_loads(source_volume(source, mesh, eta, eps, k))
     assert loads.shape == (asm.space.ndof, nb) and loads.dtype == complex
     for b, m in enumerate(media):
-        S = source_volume(source, mesh, m, eps, k)
+        S = source_volume(source, mesh, m.eta_volume, eps, k)
         transposed = real_product(asm._vol_eval.T, (asm._Wv * S.astype(complex)).ravel())
         assert loads[:, b].tobytes() == asm.rhs(S).tobytes()
         assert loads[:, b].tobytes() == transposed.tobytes()

@@ -35,7 +35,7 @@ def test_single_sample_matches_direct_solve():
     asm = get_assembler(space, cfg.penalties)
     media = sample_media(mesh, cfg.noise, 0)
     system = asm.variable(cfg.k, media, cfg.epsilon)
-    b = asm.rhs(source_volume(cfg.source, mesh, media, cfg.epsilon, cfg.k))
+    b = asm.rhs(source_volume(cfg.source, mesh, media.eta_volume, cfg.epsilon, cfg.k))
     u = lu_solve(lu_factorize(system), b)
     assert np.allclose(res.psi_tilde.coefficients, u, atol=1e-13)
 

@@ -3,42 +3,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randhelm import build_uniform_mesh, reference_quadrature
+from randhelm import build_uniform_mesh
+
+
+def _reference_rules():
+    """The (points, weights) of the volume and edge rules a mesh carries.
+
+    At n = 1 the lower triangle's Jacobian determinant and the first
+    edge's length are exactly 1, so its weights are the reference ones.
+    """
+    mesh = build_uniform_mesh(1)
+    assert 2.0 * mesh.areas[0] == 1.0 and mesh.edge_length[0] == 1.0
+    return (
+        (mesh.ref_volume_points, mesh.volume_weights[0]),
+        (mesh.ref_edge_points, mesh.edge_weights[0]),
+    )
 
 
 # Exact monomial integrals over the unit reference triangle:
 # int x^a y^b = a! b! / (a + b + 2)!.
 def test_triangle_rule_degree4_integrates_x2y2():
-    pts, wts = reference_quadrature("triangle", 4)
+    (pts, wts), _ = _reference_rules()
     val = np.sum(wts * pts[:, 0] ** 2 * pts[:, 1] ** 2)
     assert abs(val - 1.0 / 180.0) < 1e-15
 
 
-def test_triangle_rule_degree2_integrates_quadratics():
-    pts, wts = reference_quadrature("triangle", 2)
-    assert abs(np.sum(wts) - 0.5) < 1e-15
-    assert abs(np.sum(wts * pts[:, 0] ** 2) - 1.0 / 12.0) < 1e-15
-    assert abs(np.sum(wts * pts[:, 0] * pts[:, 1]) - 1.0 / 24.0) < 1e-15
-
-
 def test_triangle_rule_degree4_weight_sum():
-    _, wts = reference_quadrature("triangle", 4)
+    (pts, wts), _ = _reference_rules()
+    assert pts.shape == (6, 2)
     assert abs(np.sum(wts) - 0.5) < 1e-15
 
 
 def test_edge_rule_three_points_integrates_quintic():
-    pts, wts = reference_quadrature("edge", 3)
+    _, (pts, wts) = _reference_rules()
+    assert pts.shape == (3,)
     assert abs(np.sum(wts * pts**5) - 1.0 / 6.0) < 1e-15
     assert abs(np.sum(wts) - 1.0) < 1e-15
-
-
-def test_quadrature_rejects_unknown_rules():
-    with pytest.raises(ValueError):
-        reference_quadrature("triangle", 3)
-    with pytest.raises(ValueError):
-        reference_quadrature("edge", 7)
-    with pytest.raises(ValueError):
-        reference_quadrature("tetrahedron", 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])

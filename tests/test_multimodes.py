@@ -20,41 +20,19 @@ from randhelm import (
     broken_norms,
     build_uniform_mesh,
     get_assembler,
-    lu_factorize,
-    lu_solve,
     mode_rhs_update,
     run_classical,
     run_multimodes,
     sample_media,
-    source_volume,
 )
 from randhelm.assembly import uniform_assembler
 from randhelm.linalg import solves_are_pinned
 
-
-def _reference_modes(cfg):
-    """Slow per-sample recursion used as an oracle for the driver."""
-    mesh = build_uniform_mesh(cfg.mesh_n)
-    space = DGSpace(mesh, cfg.degree)
-    asm = get_assembler(space, cfg.penalties)
-    factors = lu_factorize(asm.constant(cfg.k))
-    N, M = cfg.num_modes, cfg.num_samples
-    modes = np.zeros((N, M, space.ndof), dtype=complex)
-    for j in range(M):
-        media = sample_media(mesh, cfg.noise, j)
-        S = source_volume(cfg.source, mesh, media, cfg.epsilon, cfg.k)
-        Q = None
-        u_prev = DGFunction.zero(space)
-        for n in range(N):
-            u = DGFunction(space, lu_solve(factors, asm.rhs(S, Q)))
-            modes[n, j] = u.coefficients
-            S, Q = mode_rhs_update(asm, u, u_prev, media, cfg.k)
-            u_prev = u
-    return modes
+from oracle import per_sample_modes
 
 
-def _check_against_reference(cfg):
-    ref = _reference_modes(cfg)
+def _check_against_reference(cfg, factor_each_solve=False):
+    ref = per_sample_modes(cfg, factor_each_solve)
     res = run_multimodes(cfg)
     for n in range(cfg.num_modes):
         phi_ref = ref[n].mean(axis=0)
@@ -84,8 +62,9 @@ def _reference_norms(cfg, ref):
 
 
 def test_driver_matches_per_sample_recursion():
+    # Against A0 factorized afresh for every solve: reuse changes nothing.
     cfg = RunConfig(k=5.0, epsilon=1.0 / 6.0, num_modes=3, num_samples=5, mesh_n=8)
-    _check_against_reference(cfg)
+    _check_against_reference(cfg, factor_each_solve=True)
 
 
 def test_driver_matches_per_sample_recursion_degree2_radial():
@@ -161,15 +140,6 @@ def test_cleared_set_up_is_freed_without_the_garbage_collector():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
-
-
-def test_refactoring_variant_is_equivalent():
-    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=2, num_samples=6, mesh_n=8)
-    fast = run_multimodes(cfg)
-    slow = run_multimodes(cfg, refactor_each_solve=True)
-    scale = np.abs(fast.psi.coefficients).max()
-    assert np.abs(fast.psi.coefficients - slow.psi.coefficients).max() <= 1e-12 * scale
-    assert slow.counters.factorizations == cfg.num_samples * cfg.num_modes
 
 
 @pytest.mark.skipif(not solves_are_pinned(), reason="substitutions run inline only")
@@ -281,7 +251,7 @@ def test_mode_norm_diagnostics():
     res = run_multimodes(cfg)
     assert res.mode_l2.shape == (3,)
     assert np.all(res.mode_l2 > 0.0)
-    l2_ref, h1_ref = _reference_norms(cfg, _reference_modes(cfg))
+    l2_ref, h1_ref = _reference_norms(cfg, per_sample_modes(cfg))
     assert np.allclose(res.mode_l2, l2_ref, rtol=1e-12, atol=0.0)
     assert np.allclose(res.mode_h1, h1_ref, rtol=1e-12, atol=0.0)
     expected_rho = cfg.epsilon * res.mode_l2[1:] / res.mode_l2[:-1]

@@ -47,9 +47,11 @@ def test_shapes_and_bounds(mesh4):
 
 
 def test_degenerate_interval(mesh4):
-    media = sample_media(mesh4, NoiseSpec(low=0.25, high=0.25), 0)
-    assert np.all(media.eta_volume == 0.25)
-    assert np.all(media.eta_boundary == 0.25)
+    # A zero-width draw returns low bit for bit; only -0.0 comes back as +0.0.
+    for low in (0.25, 0.0, -1.0, 0.3, 1e300, 5e-324, -0.0):
+        media = sample_media(mesh4, NoiseSpec(low=low, high=low, seed=3), 1)
+        for arr in (media.eta_volume, media.eta_boundary):
+            assert arr.tobytes() == np.full(arr.shape, low + 0.0).tobytes()
 
 
 def test_validation():

@@ -32,12 +32,12 @@ def test_radial_source_depends_on_medium(mesh4):
     spec = SourceSpec(kind="radial_wave")
     media = sample_media(mesh4, NoiseSpec(seed=1), 0)
     k, eps = 20.0, 0.5
-    S = source_volume(spec, mesh4, media, eps, k)
+    S = source_volume(spec, mesh4, media.eta_volume, eps, k)
     rho = np.hypot(mesh4.volume_points[..., 0], mesh4.volume_points[..., 1])
     alpha = 1.0 + eps * media.eta_volume
     assert np.allclose(S, np.sin(k * alpha * rho) / rho, atol=1e-12)
     # With epsilon = 0 the medium is ignored.
-    S0 = source_volume(spec, mesh4, media, 0.0, k)
+    S0 = source_volume(spec, mesh4, media.eta_volume, 0.0, k)
     assert np.allclose(S0, np.sin(k * rho) / rho, atol=1e-12)
 
 
