@@ -63,7 +63,9 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
             b = asm.rhs(
                 source_volume(config.source, asm.mesh, media.eta_volume, config.epsilon, config.k)
             )
-        x = lu_solve(lu_factorize(system, sample_counters), b, sample_counters)
+        factors = lu_factorize(system, sample_counters)
+        del system  # free the operator before the solve
+        x = lu_solve(factors, b, sample_counters)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"nonfinite values in the solution of sample {j}")
         return x, sample_counters

@@ -62,14 +62,17 @@ class SolverCounters:
     `timed(phase)` adds the seconds of its block to `seconds[phase]`;
     `lu_factorize` and `lu_solve` time `factorize` and `solve`, and
     `sample_workers` times `sample_loop` (wall) and `sample_loop_cpu`.
-    Not thread-safe: a worker thread counts into counters of its own,
-    which the calling thread adds up with `+=`, phase by phase.  A phase
-    timed on the workers then sums their seconds, and can exceed the wall
-    time of the loop that ran them.
+    `lu_nnz` is the fill (nonzeros of L and U) of the largest
+    factorization counted.  Not thread-safe: a worker thread counts into
+    counters of its own, which the calling thread adds up with `+=`,
+    phase by phase, keeping the larger `lu_nnz`.  A phase timed on the
+    workers then sums their seconds, and can exceed the wall time of the
+    loop that ran them.
     """
 
     factorizations: int = 0
     solves: int = 0
+    lu_nnz: int = 0
     seconds: dict[str, float] = field(default_factory=dict)
 
     @contextmanager
@@ -82,14 +85,19 @@ class SolverCounters:
     def __iadd__(self, other: "SolverCounters") -> "SolverCounters":
         self.factorizations += other.factorizations
         self.solves += other.solves
+        self.lu_nnz = max(self.lu_nnz, other.lu_nnz)
         for phase, seconds in other.seconds.items():
             self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
         return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class LUFactors:
-    """Immutable LU factors, reused for any number of solves."""
+    """Immutable LU factors, reused for any number of solves.
+
+    Holds only SuperLU's own factor storage: the CSC copies of L and U
+    that scipy builds for the pivot check are emptied (`lu_factorize`).
+    """
 
     _lu: object
     dimension: int
@@ -126,10 +134,18 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
             )
         except RuntimeError as exc:  # SuperLU reports exact zero pivots itself
             raise SingularMatrixError(-1, 0.0) from exc
-    diag = np.abs(lu.U.diagonal())
+    U = lu.U
+    diag = np.abs(U.diagonal())
+    # Reading U builds CSC copies of L and U, which scipy may cache for the
+    # factor's lifetime; the solves use SuperLU's own storage, so empty them.
+    for copy in (lu.L, U):
+        copy.data = np.empty(0, copy.data.dtype)
+        copy.indices = np.empty(0, copy.indices.dtype)
+        copy.indptr = np.zeros_like(copy.indptr)
     if diag.size and diag.min() < _PIVOT_RTOL * diag.max():
         raise SingularMatrixError(int(diag.argmin()), float(diag.min()))
     counters.factorizations += 1
+    counters.lu_nnz = max(counters.lu_nnz, lu.nnz)
     return LUFactors(lu, mat.shape[0])
 
 

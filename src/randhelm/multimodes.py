@@ -197,10 +197,11 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     or OpenBLAS's thread count.  A half-block holds two of its modes at a
     time and hands back sums, so memory grows with N only by the (N, ndof)
     sums.  The set-up (`uniform_assembler`) is kept for the next call;
-    the operator and its factorization are not.  The counters time the
-    phases `setup`, `assembly`, `factorize`, `solve`, `sample_loop` and
-    `sample_loop_cpu`; `solve` runs on the workers and is summed over
-    them, and the loop's CPU over wall seconds are the cores it used.
+    the operator and its factorization are not, and the operator is freed
+    as soon as it is factorized.  The counters time the phases `setup`,
+    `assembly`, `factorize`, `solve`, `sample_loop` and `sample_loop_cpu`;
+    `solve` runs on the workers and is summed over them, and the loop's
+    CPU over wall seconds are the cores it used.
     `threads` has no effect; it is kept only because the benchmark
     scripts in `perfbench/` pass it.
     """
@@ -212,6 +213,7 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
         system = asm.constant(config.k)
     space = asm.space
     factors = lu_factorize(system, counters)
+    del system  # only the factorization reads A0
 
     eps_pow = config.epsilon ** np.arange(N)
     phi_sums = np.zeros((N, space.ndof), dtype=complex)
@@ -234,7 +236,7 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
                 sample_field = DGFunction(space, sum(eps_pow[n] * first[n] for n in range(N)))
         # Free these before the heap trim on exit: freed after it, they
         # would stay resident into the next call.
-        del system, factors, norm_forms
+        del factors, norm_forms
 
     phis = [DGFunction(space, phi_sums[n] / M) for n in range(N)]
     mode_l2, mode_h1 = (norm_sums[:, c] / M for c in range(2))

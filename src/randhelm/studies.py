@@ -391,7 +391,7 @@ def _result_lines(res) -> list:
             lines.append(f"mode_norm_1h[{n}]={_fmt(res.mode_h1[n])}")
         lines += [f"rho[{n}]={_fmt(r)}" for n, r in enumerate(res.rho, start=1)]
     c = res.counters
-    lines += [f"factorizations={c.factorizations}", f"solves={c.solves}"]
+    lines += [f"factorizations={c.factorizations}", f"lu_nnz={c.lu_nnz}", f"solves={c.solves}"]
     # Phases timed on the worker threads are summed over them, so they can
     # exceed sample_loop_seconds.
     lines += [f"{phase}_seconds={_fmt(s)}" for phase, s in c.seconds.items()]

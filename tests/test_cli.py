@@ -1,4 +1,5 @@
 import os
+import re
 
 from randhelm.cli import main
 from randhelm.studies import config_from_dict, parse_config
@@ -58,6 +59,7 @@ def test_run_classical(tmp_path, capsys):
     with open(os.path.join(out, "report.txt")) as fh:
         report = fh.read()
     assert "factorizations=4" in report
+    assert re.search(r"^lu_nnz=[1-9][0-9]*$", report, re.MULTILINE)
 
 
 def test_compare(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import dataclasses
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ def test_counters_vector_and_matrix_rhs():
     lu_solve(factors, np.ones(3), counters)
     lu_solve(factors, np.ones((3, 5)), counters)
     assert counters.factorizations == 1
+    assert counters.lu_nnz == factors.nnz
     assert counters.solves == 6
 
 
@@ -57,6 +60,42 @@ def test_counters_time_phases_and_add_them_by_name():
     with counters.timed("setup"):
         pass
     assert counters.seconds["setup"] >= 0.25
+
+
+def test_factors_keep_no_csc_copies():
+    # The pivot check reads U's diagonal, which makes scipy build CSC
+    # copies of L and U; the factor keeps neither (9.5 MiB here if kept).
+    system = get_assembler(DGSpace(build_uniform_mesh(20), 2)).constant(5.0)
+    lu_factorize(system)  # first calls allocate lasting state of their own
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        factors = lu_factorize(system)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
+    assert factors._lu.L.nnz == factors._lu.U.nnz == 0
+    assert factors.nnz > 0
+    b = np.ones(factors.dimension)
+    assert np.abs(system.matrix @ lu_solve(factors, b) - b).max() < 1e-9
+
+
+def test_factors_are_frozen():
+    factors = lu_factorize(sp.csc_matrix(np.eye(2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        factors.dimension = 3
+
+
+def test_counters_keep_the_largest_fill():
+    counters = SolverCounters()
+    large = lu_factorize(sp.csc_matrix(np.eye(3)), counters).nnz
+    assert counters.lu_nnz == large > lu_factorize(sp.csc_matrix(np.eye(2)), counters).nnz
+    assert counters.lu_nnz == large
+    counters += SolverCounters(lu_nnz=large + 1)
+    assert counters.lu_nnz == large + 1
+    counters += SolverCounters(lu_nnz=1)
+    assert counters.lu_nnz == large + 1
 
 
 def test_singular_matrix_detected():

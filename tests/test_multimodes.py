@@ -142,6 +142,36 @@ def test_cleared_set_up_is_freed_without_the_garbage_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("workers", [3, None])
+def test_operator_is_freed_before_the_first_half_block(monkeypatch, workers):
+    # Only the factorization reads A0: the sample loop holds its factors,
+    # not the operator, and drops it without the garbage collector.
+    import randhelm.multimodes
+
+    factorize, block_modes = randhelm.multimodes.lu_factorize, randhelm.multimodes._block_modes
+    operators, starts = [], []
+
+    def keep_a_weakref(system, counters):
+        operators.append(weakref.ref(system.matrix))
+        return factorize(system, counters)
+
+    def check_operator_freed(js, *args):
+        starts.append(js.start)
+        assert [ref() for ref in operators] == [None]
+        return block_modes(js, *args)
+
+    monkeypatch.setattr(randhelm.multimodes, "lu_factorize", keep_a_weakref)
+    monkeypatch.setattr(randhelm.multimodes, "_block_modes", check_operator_freed)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: workers)
+    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=2, num_samples=40, mesh_n=6)
+    gc.disable()
+    try:
+        run_multimodes(cfg)
+    finally:
+        gc.enable()
+    assert sorted(starts) == [0, 16, 32]
+
+
 @pytest.mark.skipif(not solves_are_pinned(), reason="substitutions run inline only")
 def test_thread_count_does_not_change_results(monkeypatch):
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=70, mesh_n=8)

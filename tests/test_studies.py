@@ -376,18 +376,19 @@ def test_report_prints_each_phase_once_per_driver_run(tmp_path):
     base = RunConfig(k=3.0, epsilon=0.1, num_modes=2, num_samples=4, mesh_n=4)
     out = os.path.join(tmp_path, "sweep")
     run_full(StudySpec(kind="epsilon_sweep", base=base, eps_values=(0.1, 0.2)), out)
-    with open(os.path.join(out, "report.txt")) as fh:
-        keys = [line.split("=", 1)[0] for line in fh.read().splitlines()]
-    assert not [key for key in keys if key.endswith("_seconds_total")]
-    runs = []  # the *_seconds keys of each driver run, which starts at "method"
-    for key in keys:
-        if key == "method":
-            runs.append([])
-        elif runs and key.endswith("_seconds"):
-            runs[-1].append(key)
+    report = os.path.join(out, "report.txt")
+    with open(report) as fh:
+        assert "_seconds_total=" not in fh.read()
+    runs = _report_runs(report)
     assert len(runs) == 4  # a multi-modes and a classical run per epsilon
     for run in runs:
-        assert sorted(run) == sorted(f"{phase}_seconds" for phase in _PHASES)
+        keys = [key for key, _ in run]
+        phases = [key for key in keys if key.endswith("_seconds")]
+        assert sorted(phases) == sorted(f"{phase}_seconds" for phase in _PHASES)
+        # The LU fill, once, next to the factorization count.
+        assert keys.count("lu_nnz") == keys.count("factorizations") == 1
+        assert keys.index("lu_nnz") == keys.index("factorizations") + 1
+        assert int(dict(run)["lu_nnz"]) > 0
 
 
 def test_run_full_study_kinds(tmp_path):
