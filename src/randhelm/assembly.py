@@ -28,8 +28,7 @@ import scipy.sparse as sp
 from .mesh import build_uniform_mesh
 from .space import DGFunction, DGSpace
 
-__all__ = ["PenaltySet", "SystemMatrix", "Assembler", "get_assembler", "broken_norms",
-           "uniform_assembler"]
+__all__ = ["PenaltySet", "Assembler", "get_assembler", "broken_norms", "uniform_assembler"]
 
 
 @dataclass(frozen=True)
@@ -38,21 +37,16 @@ class PenaltySet:
 
     gamma0 weights the value-jump term, beta1 the tangential-derivative
     jumps, and gamma_higher[j-1] the j-th normal-derivative jumps.  The
-    imaginary unit is applied by the assembler, not stored here.
+    imaginary unit is applied by the assembler, not stored here.  Any
+    sequence of gamma_higher is stored as a tuple, so a set is hashable.
     """
 
     gamma0: float = 10.0
     gamma_higher: tuple[float, ...] = (0.1,)
     beta1: float = 0.1
 
-    def gamma_j(self, j: int) -> float:
-        if j == 0:
-            return self.gamma0
-        if j - 1 < len(self.gamma_higher):
-            return self.gamma_higher[j - 1]
-        return 0.1
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "gamma_higher", tuple(self.gamma_higher))
         vals = (self.gamma0, self.beta1, *self.gamma_higher)
         if not all(isfinite(v) for v in vals):
             raise ValueError("penalty parameters must be finite")
@@ -61,10 +55,21 @@ class PenaltySet:
         if self.beta1 < 0.0 or any(g < 0.0 for g in self.gamma_higher):
             raise ValueError("penalty parameters must be nonnegative")
 
+    def gamma_j(self, j: int) -> float:
+        if j == 0:
+            return self.gamma0
+        if j - 1 < len(self.gamma_higher):
+            return self.gamma_higher[j - 1]
+        return 0.1
+
 
 @dataclass
 class SystemMatrix:
-    """Assembled sparse complex-symmetric IP-DG operator."""
+    """Assembled sparse complex-symmetric IP-DG operator.
+
+    The wrapper stays because the benchmark reads `.matrix`; in the package,
+    only `lu_factorize` unwraps it.
+    """
 
     matrix: sp.csc_matrix
 
@@ -86,17 +91,16 @@ class Assembler:
     the U diagonal for the pivot check are paid per sample on top of it.
 
     `norm_forms` scatters the same blocks, with the norm's penalty
-    weights, into the real quadratic forms of `broken_norms`; it is built
-    on first use.  Point evaluation at the volume and boundary quadrature
-    points is a real sparse matrix each, the boundary one restricted to the
-    DOFs of the elements with a boundary edge; their transposes, stored by
-    rows, are the load operators.  `volume_loads`, `mass_operator` and
-    `add_boundary_loads` serve the multi-modes recursion: they act on a
-    batch of coefficient vectors.
+    weights, into the real quadratic forms of the mode norms and
+    `broken_norms`; it is built on first use.  Point evaluation at the
+    volume and boundary quadrature points is a real sparse matrix each, the
+    boundary one restricted to the DOFs of the elements with a boundary
+    edge; their transposes, stored by rows, are the load operators.
+    `volume_loads`, `mass_operator` and `add_boundary_loads` serve the
+    multi-modes recursion: they act on a batch of coefficient vectors.
     """
 
     def __init__(self, space: DGSpace, penalties: PenaltySet = PenaltySet()):
-        penalties.validate()
         self.space = space
         self.mesh = space.mesh
         self.penalties = penalties
@@ -244,11 +248,12 @@ class Assembler:
 
     @cached_property
     def norm_forms(self) -> tuple:
-        """Real CSR forms (mass, stiffness, jump, boundary mass) of the broken norms.
+        """Real CSR forms (mass, energy) of the L2 and broken-H1 norms.
 
-        The jump form is the penalty form at degree scale s = r.  Each form
-        scatters its blocks on the DOFs of their elements or edges, as the
-        operator does, in one COO-to-CSR conversion of its own.
+        The energy form is the stiffness form plus the jump form, the
+        penalty form at degree scale s = r.  Each of the three scatters its
+        blocks on the DOFs of their elements or edges, as the operator
+        does, in one COO-to-CSR conversion of its own.
         """
         def form(dofs, blocks):
             rows, cols = _block_entries(dofs)
@@ -257,12 +262,9 @@ class Assembler:
                 shape=(self.space.ndof, self.space.ndof),
             )
 
-        return (
-            form(self.space.dofs, self._mass_blocks()),
-            form(self.space.dofs, self._stiff),
-            form(self._ie_dofs, self._penalty_blocks(self.space.degree)),
-            form(self._bdofs, self._boundary_blocks()),
-        )
+        stiff = form(self.space.dofs, self._stiff)
+        jump = form(self._ie_dofs, self._penalty_blocks(self.space.degree))
+        return form(self.space.dofs, self._mass_blocks()), (stiff + jump).tocsr()
 
     # -- block operators on stacked coefficient vectors ------------------
 
@@ -317,7 +319,7 @@ class Assembler:
         `u` and `out` hold nb coefficient vectors, shape (nb, ndof), and
         `c` their coefficients at the boundary-edge quadrature points,
         shape (nb, nbe, nqe): row b gains `rhs`'s boundary term for
-        Q = c[b] * eval_boundary(u[b]), up to rounding.  Only the DOFs of
+        Q = c[b] times the trace of u[b], up to rounding.  Only the DOFs of
         the elements with a boundary edge change.
         """
         traces = real_product(self._bnd_eval, u[:, self._bnd_dofs].T)
@@ -327,11 +329,6 @@ class Assembler:
     def eval_volume(self, coefficients) -> np.ndarray:
         """Values of a DG coefficient vector at all volume quadrature points."""
         return real_product(self._vol_eval, coefficients).reshape(self._Wv.shape)
-
-    def eval_boundary(self, coefficients) -> np.ndarray:
-        """Trace values at all boundary-edge quadrature points."""
-        values = real_product(self._bnd_eval, np.asarray(coefficients)[self._bnd_dofs])
-        return values.reshape(self._bweights.shape)
 
 
 def _stiffness_blocks(w, G) -> np.ndarray:
@@ -545,7 +542,8 @@ def quadratic_forms(forms, U) -> np.ndarray:
 
 def get_assembler(space: DGSpace, penalties: PenaltySet = PenaltySet()) -> Assembler:
     """A new Assembler for (space, penalties); nothing is cached.  The
-    drivers' set-up, kept between calls, is `uniform_assembler`."""
+    drivers' set-up, kept between calls, is `uniform_assembler`.
+    Outside the package's tests, only the benchmark calls it."""
     return Assembler(space, penalties)
 
 
@@ -559,22 +557,17 @@ def uniform_assembler(mesh_n: int, degree: int, penalties: PenaltySet) -> Assemb
 
 
 def broken_norms(f: DGFunction, penalties) -> dict:
-    """L2, broken-H1 seminorm/norm, and boundary L2 norm of a DG function.
+    """L2 norm and broken-H1 norm of a DG function: {"l2", "norm_1h"}.
 
-    The full broken norm adds penalty-weighted jump terms across interior
-    edges: value jumps at gamma0*r/h_e, tangential-derivative jumps at
-    beta1*r/h_e, and j-th normal-derivative jumps at gamma_j*(h_e/r)^(2j-1).
-    The forms come from the kept set-up `uniform_assembler(n, r, penalties)`
-    of the field's mesh size and degree (the DOF layout depends on these
-    alone), so a call with other penalties replaces that set-up.
+    The broken norm adds to the broken H1 seminorm penalty-weighted jump
+    terms across interior edges: value jumps at gamma0*r/h_e,
+    tangential-derivative jumps at beta1*r/h_e, and j-th normal-derivative
+    jumps at gamma_j*(h_e/r)^(2j-1).  The forms are the ones the
+    multi-modes driver's mode norms use, from the kept set-up
+    `uniform_assembler(n, r, penalties)` of the field's mesh size and
+    degree (the DOF layout depends on these alone), so a call with other
+    penalties replaces that set-up.
     """
-    penalties.validate()
     forms = uniform_assembler(f.space.mesh.n, f.space.degree, penalties).norm_forms
-    q = np.maximum(quadratic_forms(forms, f.coefficients[:, None])[:, 0], 0.0)
-    l2_sq, semi_sq, jump_sq, bnd_sq = (float(v) for v in q)
-    return {
-        "l2": np.sqrt(l2_sq),
-        "seminorm_1h": np.sqrt(semi_sq),
-        "norm_1h": np.sqrt(semi_sq + jump_sq),
-        "boundary_l2": np.sqrt(bnd_sq),
-    }
+    l2_sq, h1_sq = np.maximum(quadratic_forms(forms, f.coefficients[:, None])[:, 0], 0.0)
+    return {"l2": np.sqrt(float(l2_sq)), "norm_1h": np.sqrt(float(h1_sq))}

@@ -48,8 +48,8 @@ def run_classical(config: RunConfig, threads: int = 1) -> BaselineResult:
     (`uniform_assembler`) is kept for the next call.  The counters time
     the phases `setup`, `assembly`, `factorize`, `solve`, `sample_loop`
     and `sample_loop_cpu`; `assembly`, `factorize` and `solve` run on the
-    workers and are summed over them.  `threads` has no effect; it is
-    kept only because the benchmark scripts in `perfbench/` pass it.
+    workers and are summed over them.  `threads` has no effect; the
+    benchmark, which passes it, is its only reader outside the tests.
     """
     counters = SolverCounters()
     with counters.timed("setup"):

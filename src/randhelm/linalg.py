@@ -104,6 +104,7 @@ class LUFactors:
 
     @property
     def nnz(self) -> int:
+        """Fill of L and U; the benchmark is its only reader outside the tests."""
         return self._lu.nnz
 
 

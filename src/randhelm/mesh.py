@@ -44,9 +44,7 @@ class TriMesh:
     n: int
     vertices: np.ndarray          # (nv, 2)
     elements: np.ndarray          # (nel, 3) vertex indices, CCW
-    areas: np.ndarray             # (nel,) signed areas (positive)
-    jac: np.ndarray               # (nel, 2, 2) columns (v1-v0, v2-v0)
-    jac_inv: np.ndarray           # (nel, 2, 2)
+    jac_inv: np.ndarray           # (nel, 2, 2) inverse of the columns (v1-v0, v2-v0)
     # Edge arrays.  Interior edges store (K, K') with label(K) < label(K')
     # and the unit normal pointing out of K; boundary edges store (K, -1)
     # with the outward normal.
@@ -64,10 +62,6 @@ class TriMesh:
     ref_edge_points: np.ndarray     # (nqe,)
     edge_points: np.ndarray         # (ne, nqe, 2)
     edge_weights: np.ndarray        # (ne, nqe)
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
 
     @property
     def n_elements(self) -> int:
@@ -120,7 +114,6 @@ def build_uniform_mesh(n: int) -> TriMesh:
     d2 = vertices[elements[:, 2]] - p0
     jac = np.stack([d1, d2], axis=-1)          # columns are edge vectors
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    areas = 0.5 * det
     jac_inv = np.empty_like(jac)
     jac_inv[:, 0, 0] = jac[:, 1, 1] / det
     jac_inv[:, 0, 1] = -jac[:, 0, 1] / det
@@ -169,8 +162,6 @@ def build_uniform_mesh(n: int) -> TriMesh:
         n=n,
         vertices=vertices,
         elements=elements,
-        areas=areas,
-        jac=jac,
         jac_inv=jac_inv,
         edge_vertices=edge_vertices,
         edge_elems=edge_elems,

@@ -27,11 +27,11 @@ import numpy as np
 
 from .assembly import PenaltySet, quadratic_forms, real_product, uniform_assembler
 from .linalg import SolverCounters, lu_factorize, lu_solve, sample_workers
-from .randomness import MediaSample, NoiseSpec, sample_media
+from .randomness import NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
 from .space import DGFunction
 
-__all__ = ["RunConfig", "RunResult", "run_multimodes", "mode_rhs_update"]
+__all__ = ["RunConfig", "RunResult", "run_multimodes"]
 
 
 def _integer(value, name) -> int:
@@ -96,26 +96,6 @@ class RunResult:
         return self.psi_truncated(len(self.phis))
 
 
-def mode_rhs_update(asm, u_n: DGFunction, u_prev: DGFunction, media: MediaSample, k: float):
-    """Source data for the next mode from the previous two.
-
-    Returns (S, Q) with S = 2k^2*eta*u_n + k^2*eta^2*u_prev at volume
-    quadrature points and Q = -i*k*eta*u_n at boundary quadrature points,
-    evaluated by the Assembler `asm`, which must be built on the modes'
-    space.
-    """
-    if u_n.space is not asm.space:
-        raise ValueError("mode functions do not live on the assembler's space")
-    if u_prev.space is not u_n.space:
-        raise ValueError("mode functions live on different spaces")
-    k2 = k * k
-    uq = asm.eval_volume(u_n.coefficients)
-    upq = asm.eval_volume(u_prev.coefficients)
-    S = 2.0 * k2 * media.eta_volume * uq + k2 * media.eta_volume**2 * upq
-    Q = -1j * k * media.eta_boundary * asm.eval_boundary(u_n.coefficients)
-    return S, Q
-
-
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
 
 
@@ -126,7 +106,7 @@ def _block_modes(js, config, asm, factors, norm_forms):
     advances the samples through the modes together: one multi-column
     substitution per mode with the shared factorization `factors` of A0.
     Its columns are independent, so each sample gets what per-sample
-    solves would give (`mode_rhs_update`, one column at a time).
+    solves, one column at a time, would give.
 
     The recursion runs in coefficient space.  The load of mode n+1 is
     2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v).  Each
@@ -142,7 +122,8 @@ def _block_modes(js, config, asm, factors, norm_forms):
 
     Returns what the calling thread reads, so that this can run on any
     thread: the per-mode sums over the half-block's samples, shape
-    (N, ndof); the summed L2 and broken-H1 mode norms, shape (N, 2);
+    (N, ndof); the summed L2 and broken-H1 mode norms, shape (N, 2), from
+    `norm_forms`, the assembler's forms that `broken_norms` reads too;
     sample 0's N modes, shape (N, ndof), in the half-block that holds
     it, else None; and the half-block's own `SolverCounters`.  Every sum
     runs over the samples in order.
@@ -196,14 +177,15 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     (`sample_workers`).  Results do not depend on scheduling, core count
     or OpenBLAS's thread count.  A half-block holds two of its modes at a
     time and hands back sums, so memory grows with N only by the (N, ndof)
-    sums.  The set-up (`uniform_assembler`) is kept for the next call;
-    the operator and its factorization are not, and the operator is freed
-    as soon as it is factorized.  The counters time the phases `setup`,
-    `assembly`, `factorize`, `solve`, `sample_loop` and `sample_loop_cpu`;
+    sums.  The set-up (`uniform_assembler`), with the norm forms of the
+    mode norms, is kept for the next call; the operator and its
+    factorization are not, and the operator is freed as soon as it is
+    factorized.  The counters time the phases `setup`, `assembly`,
+    `factorize`, `solve`, `sample_loop` and `sample_loop_cpu`;
     `solve` runs on the workers and is summed over them, and the loop's
     CPU over wall seconds are the cores it used.
-    `threads` has no effect; it is kept only because the benchmark
-    scripts in `perfbench/` pass it.
+    `threads` has no effect; the benchmark, which passes it, is its only
+    reader outside the tests.
     """
     N, M = config.num_modes, config.num_samples
     counters = SolverCounters()
@@ -220,8 +202,7 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     norm_sums = np.zeros((N, 2))  # L2 and broken H1
     sample_field = None
 
-    mass, stiff, jump, _ = asm.norm_forms
-    norm_forms = (mass, (stiff + jump).tocsr())
+    norm_forms = asm.norm_forms  # built here, not on the first workers
     blocks = [range(start, min(start + _BLOCK, M)) for start in range(0, M, _BLOCK)]
 
     def run_block(js):
@@ -234,9 +215,9 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
             norm_sums += norms
             if first is not None:
                 sample_field = DGFunction(space, sum(eps_pow[n] * first[n] for n in range(N)))
-        # Free these before the heap trim on exit: freed after it, they
-        # would stay resident into the next call.
-        del factors, norm_forms
+        # Free this before the heap trim on exit: freed after it, it would
+        # stay resident into the next call.
+        del factors
 
     phis = [DGFunction(space, phi_sums[n] / M) for n in range(N)]
     mode_l2, mode_h1 = (norm_sums[:, c] / M for c in range(2))

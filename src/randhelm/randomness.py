@@ -49,7 +49,11 @@ class NoiseSpec:
 
 @dataclass
 class MediaSample:
-    """One realization of eta on a mesh's quadrature layout."""
+    """One realization of eta on a mesh's quadrature layout.
+
+    `sample_media` returns it; outside the package, only the benchmark's
+    tracer names the class.
+    """
 
     eta_volume: np.ndarray    # (n_elements, nq)
     eta_boundary: np.ndarray  # (n_boundary_edges, nqe)

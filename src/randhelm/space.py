@@ -88,17 +88,6 @@ class DGSpace:
         """Reference gradients, shape (npts, local_dim, 2)."""
         return np.stack([self._derivative(points, 1, 0), self._derivative(points, 0, 1)], axis=-1)
 
-    def basis_directional(self, points, dirs, order: int) -> np.ndarray:
-        """(d . grad)^order of every basis function, per-point direction d.
-
-        `dirs` holds the (reference-coordinate) direction for each point.
-        """
-        return _directional(
-            {(a, order - a): self._derivative(points, a, order - a) for a in range(order + 1)},
-            dirs,
-            order,
-        )
-
     @cached_property
     def tables(self) -> "_Tables":
         """Basis evaluations on the mesh quadrature layout, built on first use."""
@@ -178,25 +167,11 @@ class DGFunction:
             )
         self.coefficients = c
 
-    @classmethod
-    def zero(cls, space: DGSpace) -> "DGFunction":
-        return cls(space, np.zeros(space.ndof, dtype=complex))
-
-    def evaluate(self, element: int, points, gradient: bool = False):
-        """Evaluate at reference points of one element.
-
-        Returns values, or (values, gradients) with physical gradients
-        when `gradient` is set.
-        """
+    def evaluate(self, element: int, points) -> np.ndarray:
+        """Values at reference points of one element."""
         if not 0 <= element < self.space.mesh.n_elements:
             raise IndexError(f"element label {element} out of range")
-        local = self.coefficients[self.space.dofs[element]]
-        vals = self.space.basis_values(points) @ local
-        if not gradient:
-            return vals
-        gref = self.space.basis_gradients(points)
-        gphys = np.einsum("qid,dc->qic", gref, self.space.mesh.jac_inv[element])
-        return vals, np.einsum("qic,i->qc", gphys, local)
+        return self.space.basis_values(points) @ self.coefficients[self.space.dofs[element]]
 
     def evaluate_physical(self, points) -> np.ndarray:
         """Evaluate at physical points; ties on edges go to the smaller label.

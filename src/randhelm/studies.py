@@ -187,10 +187,10 @@ class StudySpec:
         for eps in self.eps_values:
             if not 0.0 <= eps < 1.0:
                 raise ValueError(f"eps_values must lie in [0, 1), got {eps}")
-        for name in ("mesh_sizes", "m_values", "n_values", "eps_values"):
-            vals = getattr(self, name)
-            if list(vals) != sorted(vals):
-                raise ValueError(f"{name} must be sorted ascending")
+        for key in ("mesh_sizes", "M_values", "N_values", "eps_values"):
+            vals = getattr(self, _STUDY_KEYS[key][0])
+            if any(a >= b for a, b in zip(vals, vals[1:])):
+                raise ValueError(f"{key} must be strictly ascending, got {_fmt(tuple(vals))}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudySpec":
@@ -231,11 +231,14 @@ def solve_deterministic(config: RunConfig) -> DGFunction:
     return DGFunction(asm.space, x)
 
 
-def _plane_wave_errors(n: int, k: float, degree: int, penalties: PenaltySet, theta: float):
+_THETA = 0.3  # direction of the manufactured plane wave, in radians
+
+
+def _plane_wave_errors(n: int, k: float, degree: int, penalties: PenaltySet):
     """Solve with impedance data of an exact plane wave; return L2/H1 errors."""
     asm = uniform_assembler(n, degree, penalties)
     mesh, space = asm.mesh, asm.space
-    d = np.array([np.cos(theta), np.sin(theta)])
+    d = np.array([np.cos(_THETA), np.sin(_THETA)])
 
     def exact(pts):
         return np.exp(1j * k * (pts[..., 0] * d[0] + pts[..., 1] * d[1]))
@@ -262,7 +265,7 @@ def _plane_wave_errors(n: int, k: float, degree: int, penalties: PenaltySet, the
     return err_l2, err_h1, err_l2 / norm_l2
 
 
-def run_manufactured_convergence(spec: StudySpec, theta: float = 0.3) -> list:
+def run_manufactured_convergence(spec: StudySpec) -> list:
     """Mesh refinement study against an analytic plane wave.
 
     Returns one row per mesh: {n, h, err_l2, err_h1, rel_l2, rate_l2,
@@ -275,7 +278,7 @@ def run_manufactured_convergence(spec: StudySpec, theta: float = 0.3) -> list:
     rows = []
     prev = None
     for n in spec.mesh_sizes:
-        el2, eh1, rel = _plane_wave_errors(n, cfg.k, cfg.degree, cfg.penalties, theta)
+        el2, eh1, rel = _plane_wave_errors(n, cfg.k, cfg.degree, cfg.penalties)
         row = {
             "n": n,
             "h": 1.0 / n,
@@ -301,11 +304,12 @@ def run_m_scaling(spec: StudySpec) -> dict:
     Runs one chain of m_ref samples and, for each requested M, a run of
     its first M samples (the noise of a sample depends only on the seed
     and the sample's index), and fits the log-log slope of
-    ||Phi_0(M) - Phi_0(m_ref)||_L2 (target -1/2).  The chain's RunResult
-    is returned as "result".
+    ||Phi_0(M) - Phi_0(m_ref)||_L2 (target -1/2), which needs at least two
+    values of M.  The chain's RunResult is returned as "result".
     """
-    if not spec.m_values:
-        raise ValueError("m_values must be nonempty")
+    if len(spec.m_values) < 2:
+        count = len(spec.m_values)
+        raise ValueError(f"M_values needs two values or more for a slope, got {count}")
     m_ref = 16 * max(spec.m_values) if spec.m_ref is None else spec.m_ref
     if m_ref <= max(spec.m_values):
         raise ValueError("M_ref must exceed every M in the list")

@@ -9,10 +9,37 @@ from randhelm import (
     get_assembler,
     lu_factorize,
     lu_solve,
-    mode_rhs_update,
     sample_media,
     source_volume,
 )
+from randhelm.assembly import real_product
+
+
+def eval_boundary(asm, coefficients) -> np.ndarray:
+    """Trace values of a DG coefficient vector at all boundary-edge
+    quadrature points, through the assembler's boundary evaluation matrix."""
+    values = real_product(asm._bnd_eval, np.asarray(coefficients)[asm._bnd_dofs])
+    return values.reshape(asm._bweights.shape)
+
+
+def mode_rhs_update(asm, u_n: DGFunction, u_prev: DGFunction, media, k: float):
+    """Source data for the next mode from the previous two.
+
+    Returns (S, Q) with S = 2k^2*eta*u_n + k^2*eta^2*u_prev at volume
+    quadrature points and Q = -i*k*eta*u_n at boundary quadrature points,
+    evaluated by the Assembler `asm`, which must be built on the modes'
+    space.
+    """
+    if u_n.space is not asm.space:
+        raise ValueError("mode functions do not live on the assembler's space")
+    if u_prev.space is not u_n.space:
+        raise ValueError("mode functions live on different spaces")
+    k2 = k * k
+    uq = asm.eval_volume(u_n.coefficients)
+    upq = asm.eval_volume(u_prev.coefficients)
+    S = 2.0 * k2 * media.eta_volume * uq + k2 * media.eta_volume**2 * upq
+    Q = -1j * k * media.eta_boundary * eval_boundary(asm, u_n.coefficients)
+    return S, Q
 
 
 def per_sample_modes(cfg, factor_each_solve=False):
@@ -31,7 +58,7 @@ def per_sample_modes(cfg, factor_each_solve=False):
         media = sample_media(mesh, cfg.noise, j)
         S = source_volume(cfg.source, mesh, media.eta_volume, cfg.epsilon, cfg.k)
         Q = None
-        u_prev = DGFunction.zero(space)
+        u_prev = DGFunction(space, np.zeros(space.ndof))
         for n in range(N):
             if factor_each_solve:
                 factors = lu_factorize(system)

@@ -13,7 +13,8 @@ def _reference_rules():
     edge's length are exactly 1, so its weights are the reference ones.
     """
     mesh = build_uniform_mesh(1)
-    assert 2.0 * mesh.areas[0] == 1.0 and mesh.edge_length[0] == 1.0
+    d1, d2 = mesh.vertices[mesh.elements[0, 1:]] - mesh.vertices[mesh.elements[0, 0]]
+    assert d1[0] * d2[1] - d1[1] * d2[0] == 1.0 and mesh.edge_length[0] == 1.0
     return (
         (mesh.ref_volume_points, mesh.volume_weights[0]),
         (mesh.ref_edge_points, mesh.edge_weights[0]),
@@ -70,16 +71,14 @@ def test_rejects_nonpositive_subdivision():
 
 
 def test_areas_and_weights(mesh4):
-    h = mesh4.h
-    assert np.allclose(mesh4.areas, 0.5 * h * h)
-    assert abs(mesh4.areas.sum() - 1.0) < 1e-14
-    # Per-element quadrature weights sum to the element area.
-    assert np.allclose(mesh4.volume_weights.sum(axis=1), mesh4.areas)
+    # Per-element quadrature weights sum to the element area, h^2 / 2.
+    h = 1.0 / mesh4.n
+    assert np.allclose(mesh4.volume_weights.sum(axis=1), 0.5 * h * h)
     assert abs(mesh4.volume_weights.sum() - 1.0) < 1e-14
 
 
 def test_edge_lengths_and_weights(mesh4):
-    h = mesh4.h
+    h = 1.0 / mesh4.n
     lengths = mesh4.edge_length
     assert np.all(
         (np.abs(lengths - h) < 1e-14) | (np.abs(lengths - h * np.sqrt(2)) < 1e-14)
