@@ -92,10 +92,11 @@ class Assembler:
 
     `norm_forms` scatters the same blocks, with the norm's penalty
     weights, into the real quadratic forms of the mode norms and
-    `broken_norms`; it is built on first use.  Point evaluation at the
-    volume and boundary quadrature points is a real sparse matrix each, the
-    boundary one restricted to the DOFs of the elements with a boundary
-    edge; their transposes, stored by rows, are the load operators.
+    `broken_norms`; it is built on first use.  The load operators are the
+    transposes, stored by rows, of real sparse evaluation matrices at the
+    volume and boundary quadrature points, the boundary one restricted to
+    the DOFs of the elements with a boundary edge; only the boundary one
+    is kept, for the recursion's boundary loads.
     `volume_loads`, `mass_operator` and `add_boundary_loads` serve the
     multi-modes recursion: they act on a batch of coefficient vectors.
     """
@@ -157,14 +158,14 @@ class Assembler:
         # Evaluation at quadrature points: one row per point, its element's
         # (or boundary edge's) basis values in the columns of that element.
         nel, nq = self._Wv.shape
-        self._vol_eval = _eval_matrix(
+        vol_eval = _eval_matrix(
             np.broadcast_to(t.B, (nel, nq, ld)),
             np.broadcast_to(dofs[:, None, :], (nel, nq, ld)),
             space.ndof,
         )
         # The volume load operator, stored by rows: an entry sums its terms in
         # the same order for one sample or a batch.
-        self._load_op = self._vol_eval.T.tocsr()
+        self._load_op = vol_eval.T.tocsr()
         # Boundary evaluation acts only on the DOFs of the elements with a
         # boundary edge, `_bnd_dofs` (sorted); its row-wise transpose is the
         # boundary load operator.
@@ -283,7 +284,7 @@ class Assembler:
             shape=(nb * nel * ld,) * 2,
         )
 
-    # -- load vectors and point evaluation -------------------------------
+    # -- load vectors ----------------------------------------------------
 
     def rhs(self, S, Q=None) -> np.ndarray:
         """Load vector for volume data S and boundary data Q.
@@ -325,10 +326,6 @@ class Assembler:
         traces = real_product(self._bnd_eval, u[:, self._bnd_dofs].T)
         data = (self._bweights * c).reshape(len(c), -1).T * traces
         out[:, self._bnd_dofs] += real_product(self._bnd_load, data).T
-
-    def eval_volume(self, coefficients) -> np.ndarray:
-        """Values of a DG coefficient vector at all volume quadrature points."""
-        return real_product(self._vol_eval, coefficients).reshape(self._Wv.shape)
 
 
 def _stiffness_blocks(w, G) -> np.ndarray:

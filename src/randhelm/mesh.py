@@ -75,14 +75,11 @@ class TriMesh:
     def n_edges(self) -> int:
         return self.edge_vertices.shape[0]
 
-    def element_vertices(self, label: int) -> np.ndarray:
-        """Physical coordinates of the three vertices of one element."""
-        return self.vertices[self.elements[label]]
-
-    def to_reference(self, label, points) -> np.ndarray:
-        """Map physical points into the reference coordinates of `label`."""
-        v0 = self.vertices[self.elements[label, 0]]
-        return (np.asarray(points, dtype=float) - v0) @ self.jac_inv[label].T
+    def to_reference(self, labels, points) -> np.ndarray:
+        """Map point p of `points` (npts, 2) into the reference coordinates
+        of element labels[p]; a single label serves every point."""
+        v0 = self.vertices[self.elements[labels, 0]]
+        return np.einsum("...ij,...j->...i", self.jac_inv[labels], np.asarray(points, float) - v0)
 
 
 def build_uniform_mesh(n: int) -> TriMesh:

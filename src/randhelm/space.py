@@ -167,14 +167,20 @@ class DGFunction:
             )
         self.coefficients = c
 
-    def evaluate(self, element: int, points) -> np.ndarray:
-        """Values at reference points of one element."""
-        if not 0 <= element < self.space.mesh.n_elements:
-            raise IndexError(f"element label {element} out of range")
-        return self.space.basis_values(points) @ self.coefficients[self.space.dofs[element]]
+    def evaluate(self, elements, points) -> np.ndarray:
+        """Values at reference points `points`, shape (npts, 2), each on the
+        element of the same row of `elements`, shape (npts,)."""
+        space = self.space
+        elements = np.asarray(elements)
+        bad = (elements < 0) | (elements >= space.mesh.n_elements)
+        if bad.any():
+            raise IndexError(f"element label {elements[np.argmax(bad)]} out of range")
+        values = space.basis_values(points)
+        return np.einsum("pi,pi->p", values, self.coefficients[space.dofs[elements]])
 
     def evaluate_physical(self, points) -> np.ndarray:
-        """Evaluate at physical points; ties on edges go to the smaller label.
+        """Evaluate at physical points, each on the smallest label of the
+        elements that contain it.
 
         A point that is not finite or lies outside the closed square
         [-0.5, 0.5]^2 is a ValueError naming it.
@@ -185,17 +191,12 @@ class DGFunction:
         if outside.any():
             x, y = pts[np.argmax(outside)].tolist()
             raise ValueError(f"point ({x}, {y}) lies outside the closed square [-0.5, 0.5]^2")
-        out = np.empty(pts.shape[0], dtype=complex)
+        # On a cell edge the left or lower cell, then its lower triangle,
+        # t <= s in local coordinates (s, t), each with 1e-12 to spare.
         n = mesh.n
-        for p, (x, y) in enumerate(pts):
-            cx = min(max(int(np.floor((x + 0.5) * n)), 0), n - 1)
-            cy = min(max(int(np.floor((y + 0.5) * n)), 0), n - 1)
-            lower = 2 * (cy * n + cx)
-            xi, eta = mesh.to_reference(lower, (x, y))
-            # Points on the cell diagonal belong to the lower triangle
-            # (the smaller of the two labels).
-            label = lower if eta <= xi + 1e-12 else lower + 1
-            ref = mesh.to_reference(label, (x, y))
-            out[p] = self.evaluate(label, ref[None, :])[0]
-        return out
-
+        local = (pts + 0.5) * n
+        cell = np.clip(np.ceil(local - 1e-12) - 1.0, 0, n - 1)
+        s, t = (local - cell).T
+        cx, cy = cell.astype(np.int64).T
+        labels = 2 * (cy * n + cx) + (t > s + 1e-12)
+        return self.evaluate(labels, mesh.to_reference(labels, pts))

@@ -98,6 +98,14 @@ def test_study_rejects_m_ref_below_one(tmp_path, capsys):
     assert "error: M_ref must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_study_is_checked_before_anything_is_written(tmp_path, capsys):
+    cfg = _write_config(os.path.join(tmp_path, "c.txt"), study="m_scaling", M_values="5")
+    out = os.path.join(tmp_path, "bad")
+    assert main(["study", "--config", cfg, "--out", out]) == 1
+    assert "error: M_values needs two values or more for a slope, got 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_study_requires_study_key(tmp_path, capsys):
     cfg = _write_config(os.path.join(tmp_path, "c.txt"))
     out = os.path.join(tmp_path, "bad")

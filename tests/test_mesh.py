@@ -125,9 +125,14 @@ def test_element_labels_row_major_lower_before_upper():
 
 
 def test_to_reference_maps_vertices_to_unit_triangle(mesh4):
+    unit = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     for e in (0, 1, 7):
-        ref = mesh4.to_reference(e, mesh4.element_vertices(e))
-        assert np.allclose(ref, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-14)
+        ref = mesh4.to_reference(e, mesh4.vertices[mesh4.elements[e]])
+        assert np.allclose(ref, unit, atol=1e-14)
+    # One label per point: every vertex of every element at once.
+    labels = np.repeat(np.arange(mesh4.n_elements), 3)
+    ref = mesh4.to_reference(labels, mesh4.vertices[mesh4.elements].reshape(-1, 2))
+    assert np.allclose(ref.reshape(-1, 3, 2), unit, atol=1e-14)
 
 
 def test_mesh_arrays_are_read_only(mesh4):

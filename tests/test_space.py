@@ -80,7 +80,7 @@ def test_linear_reproduction_on_element(space4):
         return 2.0 * p[..., 0] - 3.0 * p[..., 1] + 1.0
 
     e = 5
-    verts = mesh.element_vertices(e)
+    verts = mesh.vertices[mesh.elements[e]]
     jac = (verts[1:] - verts[0]).T  # columns v1 - v0, v2 - v0
     coeffs = np.zeros(space4.ndof, dtype=complex)
     # Nodes of the P1 space coincide with the element vertices, in the
@@ -90,7 +90,13 @@ def test_linear_reproduction_on_element(space4):
     f = DGFunction(space4, coeffs)
     ref = np.array([[0.2, 0.3], [0.5, 0.1]])
     phys = verts[0] + ref @ jac.T
-    assert np.allclose(f.evaluate(e, ref), u(phys), atol=1e-12)
+    assert np.allclose(f.evaluate([e, e], ref), u(phys), atol=1e-12)
+    # Each point on its own element: a nodal basis gives back, at the nodes
+    # of every element, that element's coefficients.
+    labels = np.repeat(np.arange(mesh.n_elements), space4.local_dim)
+    nodes = np.tile(space4.nodes, (mesh.n_elements, 1))
+    g = DGFunction(space4, np.arange(space4.ndof) * (1.0 - 0.5j))
+    assert np.allclose(g.evaluate(labels, nodes), g.coefficients, rtol=0.0, atol=1e-12)
     # The physical gradient at every volume quadrature point.
     grads = np.einsum("qic,i->qc", space4.tables.Gphys[e], coeffs[space4.dofs[e]])
     assert np.allclose(grads, [2.0, -3.0], atol=1e-12)
@@ -106,8 +112,10 @@ def test_dgfunction_shape_validation(space4):
 
 def test_evaluate_rejects_bad_element(space4):
     f = DGFunction(space4, np.zeros(space4.ndof))
-    with pytest.raises(IndexError):
-        f.evaluate(space4.mesh.n_elements, np.array([[0.1, 0.1]]))
+    nel = space4.mesh.n_elements
+    for bad in (nel, -1):
+        with pytest.raises(IndexError, match=f"element label {bad} out of range"):
+            f.evaluate([0, bad], np.array([[0.1, 0.1], [0.2, 0.1]]))
 
 
 def test_evaluate_physical_constant_everywhere(space4, rng):
@@ -131,6 +139,39 @@ def test_evaluate_physical_rejects_points_off_the_domain(space4):
             f.evaluate_physical(np.array([[0.1, 0.2], bad]))
     corners = [[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.5, 0.5]]
     assert np.allclose(f.evaluate_physical(corners), 2.5 + 0.5j, atol=1e-12)
+
+
+def _smallest_containing_label(mesh, pts):
+    """Brute force: the smallest label whose barycentric coordinates of
+    each point are all >= -1e-12, and the point's reference coordinates
+    on it."""
+    v0 = mesh.vertices[mesh.elements[:, 0]]
+    ref = np.einsum("eij,pej->pei", mesh.jac_inv, pts[:, None, :] - v0)
+    bary = np.concatenate([1.0 - ref.sum(axis=-1, keepdims=True), ref], axis=-1)
+    inside = np.all(bary >= -1e-12, axis=-1)
+    assert inside.any(axis=1).all()
+    labels = np.argmax(inside, axis=1)
+    return labels, ref[np.arange(len(pts)), labels]
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_evaluate_physical_uses_the_smallest_containing_label(n, rng):
+    mesh = build_uniform_mesh(n)
+    grid = np.linspace(-0.5, 0.5, 4 * n + 1)  # cell edges, vertices and midpoints
+    corners = mesh.vertices[mesh.elements[::2, 0]]
+    along = rng.random((corners.shape[0], 3, 1)) / n
+    pts = np.vstack([
+        rng.uniform(-0.5, 0.5, size=(2000, 2)),
+        np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
+        (corners[:, None, :] + along).reshape(-1, 2),  # on the cell diagonals
+    ])
+    labels, ref = _smallest_containing_label(mesh, pts)
+    p1 = DGSpace(mesh, 1)
+    label_field = DGFunction(p1, np.repeat(np.arange(mesh.n_elements), p1.local_dim))
+    assert np.abs(label_field.evaluate_physical(pts) - labels).max() < 1e-9
+    p2 = DGSpace(mesh, 2)
+    f = DGFunction(p2, rng.standard_normal(p2.ndof) + 1j * rng.standard_normal(p2.ndof))
+    assert np.abs(f.evaluate_physical(pts) - f.evaluate(labels, ref)).max() <= 1e-13
 
 
 def test_broken_norms_of_constant_one(space4, penalties):

@@ -176,18 +176,19 @@ def test_study_spec_validation():
 
 
 def test_studies_reject_empty_sweeps():
+    # The spec is checked when it is built, before any study runs.
     base = RunConfig(k=5.0, mesh_n=4)
     with pytest.raises(ValueError, match="mesh_sizes must be nonempty"):
-        run_manufactured_convergence(StudySpec(kind="manufactured_convergence", base=base))
+        StudySpec(kind="manufactured_convergence", base=base)
     with pytest.raises(ValueError, match="M_values needs two values or more for a slope, got 0"):
-        run_m_scaling(StudySpec(kind="m_scaling", base=base))
+        StudySpec(kind="m_scaling", base=base)
 
 
 def test_m_scaling_needs_two_values_of_m():
     # One M leaves the log-log fit rank-deficient: no slope.
     base = RunConfig(k=5.0, mesh_n=4)
     with pytest.raises(ValueError, match="M_values needs two values or more for a slope, got 1"):
-        run_m_scaling(StudySpec(kind="m_scaling", base=base, m_values=(5,)))
+        StudySpec(kind="m_scaling", base=base, m_values=(5,))
 
 
 def test_study_sweeps_must_strictly_ascend():
@@ -274,8 +275,9 @@ def test_higher_degree_convergence_rates(degree):
 
 def test_m_scaling_requires_larger_reference():
     base = RunConfig(k=5.0, mesh_n=4, source=SourceSpec(kind="radial_wave"))
-    with pytest.raises(ValueError):
-        run_m_scaling(StudySpec(kind="m_scaling", base=base, m_values=(16, 64), m_ref=32))
+    for m_ref in (32, 64):
+        with pytest.raises(ValueError, match="M_ref must exceed every M in the list"):
+            StudySpec(kind="m_scaling", base=base, m_values=(16, 64), m_ref=m_ref)
     out = run_m_scaling(StudySpec(kind="m_scaling", base=base, m_values=(8, 32), m_ref=256))
     assert len(out["rows"]) == 2
     assert out["rows"][0]["err_l2"] > out["rows"][1]["err_l2"]
@@ -315,16 +317,37 @@ def test_export_cross_section(tmp_path):
         export_cross_section(f, samples=1)
 
 
-def test_export_field(tmp_path):
-    mesh = build_uniform_mesh(3)
-    space = DGSpace(mesh, 1)
-    f = DGFunction(space, np.ones(space.ndof))
+def test_export_field(tmp_path, rng):
+    # Three rows per element, in label order: its vertices v0, v1, v2 as
+    # the mesh builds them from the cell corners (lower triangle: v00, v10,
+    # v11; upper: v00, v11, v01), and the field's values there.
+    n = 5
+    mesh = build_uniform_mesh(n)
+    corners = {0: [(0, 0), (1, 0), (1, 1)], 1: [(0, 0), (1, 1), (0, 1)]}
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     path = os.path.join(tmp_path, "field.csv")
-    export_field(f, path)
-    with open(path) as fh:
-        lines = fh.read().strip().split("\n")
-    assert lines[0] == "x,y,element,re,im,abs"
-    assert len(lines) == 1 + 3 * mesh.n_elements
+    for degree in (1, 2, 3):
+        space = DGSpace(mesh, degree)
+        c = rng.standard_normal(space.ndof) + 1j * rng.standard_normal(space.ndof)
+        export_field(DGFunction(space, c), path)
+        with open(path) as fh:
+            lines = fh.read().strip().split("\n")
+        assert lines[0] == "x,y,element,re,im,abs"
+        assert len(lines) == 1 + 3 * mesh.n_elements
+        rows = [line.split(",") for line in lines[1:]]
+        x, y, re, im, mag = (np.array([float(r[i]) for r in rows]) for i in (0, 1, 3, 4, 5))
+        labels = np.array([int(r[2]) for r in rows])
+        assert np.array_equal(labels, np.repeat(np.arange(mesh.n_elements), 3))
+        basis = space.basis_values(unit)
+        for e in range(mesh.n_elements):
+            cy, cx = divmod(e // 2, n)
+            for i, (dx, dy) in enumerate(corners[e % 2]):
+                assert x[3 * e + i] == -0.5 + (1.0 / n) * (cx + dx)
+                assert y[3 * e + i] == -0.5 + (1.0 / n) * (cy + dy)
+            expected = basis @ c[space.dofs[e]]
+            rows_e = slice(3 * e, 3 * e + 3)
+            assert np.abs(re[rows_e] + 1j * im[rows_e] - expected).max() <= 1e-14
+            assert np.abs(mag[rows_e] - np.abs(expected)).max() <= 1e-14
 
 
 def test_run_full_plain_config(tmp_path):
