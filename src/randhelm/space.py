@@ -178,6 +178,11 @@ class DGFunction:
         values = space.basis_values(points)
         return np.einsum("pi,pi->p", values, self.coefficients[space.dofs[elements]])
 
+    def volume_values(self) -> np.ndarray:
+        """Values at every volume quadrature point, shape (nel, nq): the
+        cached basis table contracted with each element's coefficients."""
+        return np.einsum("qi,ei->eq", self.space.tables.B, self.coefficients[self.space.dofs])
+
     def evaluate_physical(self, points) -> np.ndarray:
         """Evaluate at physical points, each on the smallest label of the
         elements that contain it.

@@ -15,14 +15,6 @@ from randhelm import (
 from randhelm.assembly import real_product
 
 
-def volume_values(f: DGFunction) -> np.ndarray:
-    """Values of a DG function at all volume quadrature points, shape (nel, nq)."""
-    mesh = f.space.mesh
-    nel, nq = mesh.volume_weights.shape
-    points = np.tile(mesh.ref_volume_points, (nel, 1))
-    return f.evaluate(np.repeat(np.arange(nel), nq), points).reshape(nel, nq)
-
-
 def eval_boundary(asm, coefficients) -> np.ndarray:
     """Trace values of a DG coefficient vector at all boundary-edge
     quadrature points, through the assembler's boundary evaluation matrix."""
@@ -43,7 +35,7 @@ def mode_rhs_update(asm, u_n: DGFunction, u_prev: DGFunction, media, k: float):
     if u_prev.space is not u_n.space:
         raise ValueError("mode functions live on different spaces")
     k2 = k * k
-    uq, upq = volume_values(u_n), volume_values(u_prev)
+    uq, upq = u_n.volume_values(), u_prev.volume_values()
     S = 2.0 * k2 * media.eta_volume * uq + k2 * media.eta_volume**2 * upq
     Q = -1j * k * media.eta_boundary * eval_boundary(asm, u_n.coefficients)
     return S, Q

@@ -17,7 +17,7 @@ from randhelm import (
 )
 from randhelm.assembly import _block_entries, _CSCPattern, real_product
 
-from oracle import eval_boundary, volume_values
+from oracle import eval_boundary
 
 
 @pytest.mark.parametrize("n,k", [(4, 1.0), (8, 5.0)])
@@ -257,14 +257,19 @@ def test_gamma_j_defaults():
 
 def test_volume_and_boundary_evaluation_roundtrip(space4, rng):
     # The load operator is the transposed evaluation at the volume
-    # quadrature points, in the layout `DGFunction.evaluate` reads.
+    # quadrature points; `volume_values` and `evaluate` give those values.
     asm = get_assembler(space4)
+    mesh = space4.mesh
     c = rng.standard_normal(space4.ndof) + 1j * rng.standard_normal(space4.ndof)
     ones = np.ones(space4.ndof)
-    assert np.allclose(volume_values(DGFunction(space4, ones)), 1.0, atol=1e-12)
+    assert np.allclose(DGFunction(space4, ones).volume_values(), 1.0, atol=1e-12)
     assert np.allclose(eval_boundary(asm, ones), 1.0, atol=1e-12)
-    values = volume_values(DGFunction(space4, c))
-    assert values.shape == space4.mesh.volume_weights.shape
+    f = DGFunction(space4, c)
+    values = f.volume_values()
+    nel, nq = mesh.volume_weights.shape
+    assert values.shape == (nel, nq)
+    pointwise = f.evaluate(np.repeat(np.arange(nel), nq), np.tile(mesh.ref_volume_points, (nel, 1)))
+    assert np.allclose(pointwise, values.ravel(), rtol=0.0, atol=1e-14)
     assert np.allclose(real_product(asm._load_op.T, c), values.ravel(), rtol=0.0, atol=1e-13)
 
 
@@ -287,7 +292,7 @@ def test_block_operators_match_quadrature_loads(degree, rng):
     asm.add_boundary_loads(bnd, 1j * cb, u)
     zero = np.zeros(mesh.volume_weights.shape)
     for b in range(nb):
-        values = volume_values(DGFunction(space, u[b]))
+        values = DGFunction(space, u[b]).volume_values()
         assert np.allclose(vol[b], asm.rhs(c[b] * values), atol=1e-14)
         expect = start[b] + asm.rhs(zero, 1j * cb[b] * eval_boundary(asm, u[b]))
         assert np.allclose(bnd[b], expect, atol=1e-14)
@@ -326,8 +331,8 @@ def test_boundary_loads_and_traces_match_full_evaluation_matrix(n, degree, rng):
 )
 def test_volume_loads_match_per_sample_rhs(degree, source, nb):
     # One batched product must give each sample's load bit for bit, both
-    # against `rhs` and against a one-column product with the load
-    # operator: an entry sums its terms in the same order for any batch.
+    # against `rhs` and against a product with the transposed evaluation
+    # matrix, which sums each entry in the same order.
     mesh = build_uniform_mesh(5)
     asm = get_assembler(DGSpace(mesh, degree))
     k, eps = 7.0, 0.3
@@ -337,8 +342,10 @@ def test_volume_loads_match_per_sample_rhs(degree, source, nb):
     assert loads.shape == (asm.space.ndof, nb) and loads.dtype == complex
     for b, m in enumerate(media):
         S = source_volume(source, mesh, m.eta_volume, eps, k)
-        single = real_product(asm._load_op, (asm._Wv * S.astype(complex)).ravel())
+        # The row-stored load operator, stored by columns: the transposed
+        # volume evaluation matrix, with the same entries in the same order.
+        transposed = real_product(asm._load_op.tocsc(), (asm._Wv * S.astype(complex)).ravel())
         assert loads[:, b].tobytes() == asm.rhs(S).tobytes()
-        assert loads[:, b].tobytes() == single.tobytes()
+        assert loads[:, b].tobytes() == transposed.tobytes()
     with pytest.raises(ValueError):
         asm.volume_loads(eta[:, :-1])
