@@ -36,7 +36,8 @@ class PenaltySet:
     """Penalty magnitudes for the imaginary interior-penalty terms.
 
     gamma0 weights the value-jump term, beta1 the tangential-derivative
-    jumps, and gamma_higher[j-1] the j-th normal-derivative jumps.  The
+    jumps, and gamma_higher[j-1] the j-th normal-derivative jumps;
+    `gamma_j` is 0.1 for every j past the end of gamma_higher.  The
     imaginary unit is applied by the assembler, not stored here.  Any
     sequence of gamma_higher is stored as a tuple, so a set is hashable.
     """
@@ -287,7 +288,7 @@ class Assembler:
     # -- load vectors ----------------------------------------------------
 
     def rhs(self, S, Q=None) -> np.ndarray:
-        """Load vector for volume data S and boundary data Q.
+        """Load vector for real volume data S and boundary data Q.
 
         S has one value per (element, volume quadrature point); Q, when
         given, one per (boundary edge, edge quadrature point).
@@ -303,16 +304,13 @@ class Assembler:
         return b
 
     def volume_loads(self, S) -> np.ndarray:
-        """Complex load vectors, shape (ndof, nb), of volume data S of shape
-        (nb, nel, nq); column b is `rhs(S[b])` bit for bit.  Real data takes
-        one real product, complex data its real and imaginary parts."""
+        """Complex load vectors, shape (ndof, nb), of real volume data S of
+        shape (nb, nel, nq), by one real product; column b is `rhs(S[b])`
+        bit for bit."""
         S = np.asarray(S)
         if S.shape[1:] != self._Wv.shape:
             raise ValueError(f"volume data has shape {S.shape}, expected (nb, *{self._Wv.shape})")
-        WS = (self._Wv * S).reshape(S.shape[0], -1).T
-        if np.iscomplexobj(WS):
-            return real_product(self._load_op, WS)
-        return (self._load_op @ WS).astype(complex)
+        return (self._load_op @ (self._Wv * S).reshape(S.shape[0], -1).T).astype(complex)
 
     def add_boundary_loads(self, out, c, u) -> None:
         """Add the boundary loads <c u, v> of a batch to `out`, in place.

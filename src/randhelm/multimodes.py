@@ -99,7 +99,7 @@ class RunResult:
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
 
 
-def _block_modes(js, config, asm, factors, norm_forms):
+def _block_modes(js, config, asm, factors):
     """Mode recursion for one half-block of realizations, start to finish.
 
     Draws the media, builds all loads with one sparse product, and
@@ -123,10 +123,10 @@ def _block_modes(js, config, asm, factors, norm_forms):
     Returns what the calling thread reads, so that this can run on any
     thread: the per-mode sums over the half-block's samples, shape
     (N, ndof); the summed L2 and broken-H1 mode norms, shape (N, 2), from
-    `norm_forms`, the assembler's forms that `broken_norms` reads too;
-    sample 0's N modes, shape (N, ndof), in the half-block that holds
-    it, else None; and the half-block's own `SolverCounters`.  Every sum
-    runs over the samples in order.
+    `asm.norm_forms`, the forms that `broken_norms` reads too; sample 0's
+    truncated field, the sum of eps^n u_n over the modes in order, in the
+    half-block that holds it, else None; and the half-block's own
+    `SolverCounters`.  Every sum runs over the samples in order.
     """
     counters = SolverCounters()
     mesh, nb, ndof = asm.mesh, len(js), asm.space.ndof
@@ -145,7 +145,8 @@ def _block_modes(js, config, asm, factors, norm_forms):
     del eta, eta_b
     sums = np.empty((N, ndof), dtype=complex)
     norms = np.empty((nb, N, 2))
-    first = np.empty((N, ndof), dtype=complex) if js.start == 0 else None
+    eps_pow = config.epsilon ** np.arange(N)
+    sample0 = np.zeros(ndof, dtype=complex) if js.start == 0 else None
     for n in range(N):
         if n > 0:
             rhs = real_product(current, u.ravel()).reshape(nb, ndof)
@@ -160,11 +161,11 @@ def _block_modes(js, config, asm, factors, norm_forms):
         del rhs
         if not np.all(np.isfinite(u)):
             raise FloatingPointError(f"nonfinite values in mode {n} of block {js}")
-        norms[:, n] = np.sqrt(np.maximum(quadratic_forms(norm_forms, u.T), 0.0)).T
+        norms[:, n] = np.sqrt(np.maximum(quadratic_forms(asm.norm_forms, u.T), 0.0)).T
         u.sum(axis=0, out=sums[n])
-        if first is not None:
-            first[n] = u[0]
-    return sums, norms.sum(axis=0), first, counters
+        if sample0 is not None:
+            sample0 += eps_pow[n] * u[0]
+    return sums, norms.sum(axis=0), sample0, counters
 
 
 def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
@@ -197,24 +198,23 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     factors = lu_factorize(system, counters)
     del system  # only the factorization reads A0
 
-    eps_pow = config.epsilon ** np.arange(N)
     phi_sums = np.zeros((N, space.ndof), dtype=complex)
     norm_sums = np.zeros((N, 2))  # L2 and broken H1
     sample_field = None
 
-    norm_forms = asm.norm_forms  # built here, not on the first workers
+    asm.norm_forms  # built here, not on the first workers
     blocks = [range(start, min(start + _BLOCK, M)) for start in range(0, M, _BLOCK)]
 
     def run_block(js):
-        return _block_modes(js, config, asm, factors, norm_forms)
+        return _block_modes(js, config, asm, factors)
 
     with sample_workers(counters) as in_sample_order:
-        for sums, norms, first, block_counters in in_sample_order(run_block, blocks):
+        for sums, norms, sample0, block_counters in in_sample_order(run_block, blocks):
             counters += block_counters
             phi_sums += sums
             norm_sums += norms
-            if first is not None:
-                sample_field = DGFunction(space, sum(eps_pow[n] * first[n] for n in range(N)))
+            if sample0 is not None:
+                sample_field = DGFunction(space, sample0)
         # Free this before the heap trim on exit: freed after it, it would
         # stay resident into the next call.
         del factors

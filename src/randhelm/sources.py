@@ -51,8 +51,5 @@ def source_volume(
     if spec.kind == "constant":
         return np.full(shape, float(spec.value))
     rho = np.hypot(mesh.volume_points[..., 0], mesh.volume_points[..., 1])
-    if epsilon > 0.0 and eta is not None:
-        alpha = 1.0 + epsilon * eta
-    else:
-        alpha = np.ones(shape)
+    alpha = 1.0 if eta is None else 1.0 + epsilon * eta
     return _radial(rho, alpha, k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -257,7 +257,7 @@ def _plane_wave_errors(n: int, k: float, degree: int, penalties: PenaltySet):
     ub = exact(mesh.edge_points[be])
     nrm = mesh.edge_normal[be]
     G0 = 1j * k * (nrm @ d + 1.0)[:, None] * ub
-    S = np.zeros(mesh.volume_weights.shape, dtype=complex)
+    S = np.zeros(mesh.volume_weights.shape)
     x = lu_solve(lu_factorize(asm.constant(k)), asm.rhs(S, G0))
 
     uh = DGFunction(space, x).volume_values()
@@ -277,8 +277,8 @@ def run_manufactured_convergence(spec: StudySpec) -> list:
     """Mesh refinement study against an analytic plane wave.
 
     Returns one row per mesh: {n, h, err_l2, err_h1, rel_l2, rate_l2,
-    rate_h1}.  A violated resolution condition k^3 h^2 = O(1) is reported
-    in the row, not raised.
+    rate_h1}.  A violated resolution condition k^3 h^2 = O(1) is not
+    raised; `run_full` warns of it in the report.
     """
     cfg = spec.base
     rows = []
@@ -293,7 +293,6 @@ def run_manufactured_convergence(spec: StudySpec) -> list:
             "rel_l2": rel,
             "rate_l2": np.nan,
             "rate_h1": np.nan,
-            "mesh_condition": _mesh_condition(cfg.k, n, cfg.degree),
         }
         if prev is not None:
             ratio = np.log(n / prev["n"])
@@ -311,7 +310,9 @@ def run_m_scaling(spec: StudySpec) -> dict:
     its first M samples (the noise of a sample depends only on the seed
     and the sample's index), and fits the log-log slope of
     ||Phi_0(M) - Phi_0(m_ref)||_L2 (target -1/2), which needs at least two
-    values of M.  The chain's RunResult is returned as "result".
+    values of M.  Returns the rows {M, err_l2}, the "slope", which is nan
+    when an error is zero (no logarithm), and the chain's RunResult as
+    "result".
     """
     m_ref = 16 * max(spec.m_values) if spec.m_ref is None else spec.m_ref
     cfg = replace(spec.base, num_modes=1, num_samples=m_ref)
@@ -321,13 +322,12 @@ def run_m_scaling(spec: StudySpec) -> dict:
         phi0 = run_multimodes(replace(cfg, num_samples=m)).phis[0]
         rows.append({"M": m, "err_l2": compare_fields(phi0, res.phis[0])["abs_l2"]})
     errs = np.array([r["err_l2"] for r in rows])
+    slope = np.nan
     if np.all(errs > 0.0):
         slope = float(
             np.polyfit(np.log(np.array(spec.m_values, float)), np.log(errs), 1)[0]
         )
-    else:
-        slope = 0.0
-    return {"rows": rows, "slope": slope, "m_ref": m_ref, "result": res}
+    return {"rows": rows, "slope": slope, "result": res}
 
 
 # -- exports -----------------------------------------------------------
@@ -338,22 +338,18 @@ def _write_table(path, header, rows) -> None:
     _write_lines(path, [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)])
 
 
-def export_cross_section(f: DGFunction, samples: int = 201, path=None):
-    """Sample a DG field along the diagonal y = x of the domain.
+def export_cross_section(f: DGFunction, path) -> None:
+    """Write a DG field at 201 points of the diagonal y = x of the domain.
 
-    Returns CSV rows (t, x, y, re, im, abs) with t in [0, 1]; points on
+    One CSV row (t, x, y, re, im, abs) per point, t in [0, 1]; points on
     element edges are evaluated on the smaller-labeled element.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 sample points")
-    t = np.linspace(0.0, 1.0, samples)
+    t = np.linspace(0.0, 1.0, 201)
     pts = np.column_stack([-0.5 + t, -0.5 + t])
     vals = f.evaluate_physical(pts)
     # hypot rounds |v| as abs() of a complex scalar does; np.abs may not.
-    rows = list(zip(t, pts[:, 0], pts[:, 1], vals.real, vals.imag, np.hypot(vals.real, vals.imag)))
-    if path is not None:
-        _write_table(path, ["t", "x", "y", "re", "im", "abs"], rows)
-    return rows
+    rows = zip(t, pts[:, 0], pts[:, 1], vals.real, vals.imag, np.hypot(vals.real, vals.imag))
+    _write_table(path, ["t", "x", "y", "re", "im", "abs"], rows)
 
 
 def export_field(f: DGFunction, path) -> None:
@@ -427,21 +423,16 @@ def _compare_sweep(base: RunConfig, eps_values, n_values, report: list) -> list:
     return rows
 
 
-def run_full(config_or_spec, out_dir) -> list:
+def run_full(config_or_spec, out_dir) -> None:
     """Run a config or study and write report, fields, sections, tables.
 
-    Returns the list of files written.  Tables and field dumps are fully
-    deterministic, whatever the scheduling or core count; the seconds of
-    each driver run's phases appear only in report.txt.
+    Tables and field dumps are fully deterministic, whatever the
+    scheduling or core count; the seconds of each driver run's phases
+    appear only in report.txt.
     """
     for sub in ("fields", "sections", "tables"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-    written = []
-
-    def path(*parts):
-        p = os.path.join(out_dir, *parts)
-        written.append(p)
-        return p
+    path = partial(os.path.join, out_dir)
 
     spec = config_or_spec if isinstance(config_or_spec, StudySpec) else None
     echo = spec.to_dict() if spec else config_to_dict(config_or_spec)
@@ -454,8 +445,8 @@ def run_full(config_or_spec, out_dir) -> list:
         report += _result_lines(res)
         export_field(res.psi, path("fields", "psi.csv"))
         export_field(res.sample_field, path("fields", "sample.csv"))
-        export_cross_section(res.psi, path=path("sections", "psi_diagonal.csv"))
-        export_cross_section(res.sample_field, path=path("sections", "sample_diagonal.csv"))
+        export_cross_section(res.psi, path("sections", "psi_diagonal.csv"))
+        export_cross_section(res.sample_field, path("sections", "sample_diagonal.csv"))
         _write_table(
             path("tables", "modes.csv"),
             ["mode", "mean_l2", "mean_norm_1h", "rho"],
@@ -497,4 +488,3 @@ def run_full(config_or_spec, out_dir) -> list:
         _write_table(path("tables", "compare.csv"), ["epsilon", "N", "abs_l2", "rel_l2"], rows)
 
     write_report(path("report.txt"), echo, report)
-    return written
