@@ -17,12 +17,10 @@ import ctypes
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
-from itertools import islice
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -248,31 +246,17 @@ def _libc_call(name, argtypes, *args):
         fn(*args)
 
 
-def _in_sample_order(run, items, pool, workers):
-    """Yield run(item) for each item, in order: inline without a pool, else
-    on its `workers` threads, as many at a time.  The next one starts when
-    the consumer asks for the next result."""
-    if pool is None:
-        yield from map(run, items)
-        return
-    items = iter(items)
-    in_flight = deque(pool.submit(run, item) for item in islice(items, workers))
-    while in_flight:
-        yield in_flight.popleft().result()
-        following = next(items, None)
-        if following is not None:
-            in_flight.append(pool.submit(run, following))
-
-
 @contextmanager
 def sample_workers(counters: SolverCounters):
     """Worker threads for a sample loop, one per core, each on one BLAS thread.
 
-    Yields `in_sample_order(run, items)`, which yields run(item) for each
-    item in order while the workers run the next ones, so the calling
-    thread reduces in a fixed order; `run` counts into `SolverCounters` of
-    its own.  The wall and CPU seconds of the loop, all threads' CPU
-    included, go to `counters` as `sample_loop` and `sample_loop_cpu`.
+    Yields `in_sample_order`, the pool's `map` (inline, the builtin
+    `map`): `in_sample_order(run, items)` yields run(item) for each item
+    in order, so the calling thread reduces in a fixed order, while a
+    free worker starts the next item at once; `run` counts into
+    `SolverCounters` of its own.  The wall and CPU seconds of the loop,
+    all threads' CPU included, go to `counters` as `sample_loop` and
+    `sample_loop_cpu`.
     Inside, SuperLU's BLAS runs on one thread in the whole process
     (`single_blas_thread`).
     On entry glibc's malloc is held to one arena for the rest of the
@@ -293,7 +277,7 @@ def sample_workers(counters: SolverCounters):
         if workers is not None:
             pool = ThreadPoolExecutor(workers, thread_name_prefix="randhelm-sample")
         try:
-            yield partial(_in_sample_order, pool=pool, workers=workers)
+            yield map if pool is None else pool.map
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)

@@ -312,7 +312,8 @@ def run_m_scaling(spec: StudySpec) -> dict:
     ||Phi_0(M) - Phi_0(m_ref)||_L2 (target -1/2), which needs at least two
     values of M.  Returns the rows {M, err_l2}, the "slope", which is nan
     when an error is zero (no logarithm), and the chain's RunResult as
-    "result".
+    "result".  Where mode 0 cannot vary between samples the errors are
+    rounding; `run_full` then warns in the report.
     """
     m_ref = 16 * max(spec.m_values) if spec.m_ref is None else spec.m_ref
     cfg = replace(spec.base, num_modes=1, num_samples=m_ref)
@@ -334,8 +335,11 @@ def run_m_scaling(spec: StudySpec) -> dict:
 
 
 def _write_table(path, header, rows) -> None:
-    """Write one CSV: a header line, then one line of `_fmt` values per row."""
-    _write_lines(path, [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)])
+    """Write one CSV: a header line, then one line per row with every value
+    to 17 significant digits, which prints the tables' integers as `_fmt`
+    does."""
+    line = ",".join(["%.17g"] * len(header))
+    _write_lines(path, [",".join(header), *(line % tuple(row) for row in rows)])
 
 
 def export_cross_section(f: DGFunction, path) -> None:
@@ -471,6 +475,12 @@ def run_full(config_or_spec, out_dir) -> None:
             [(r["M"], r["err_l2"]) for r in out["rows"]],
         )
         report.append(f"m_scaling_slope={_fmt(out['slope'])}")
+        cfg = spec.base
+        if cfg.source.kind == "constant" or cfg.epsilon == 0.0 or cfg.noise.low == cfg.noise.high:
+            report.append(
+                "warning: mode 0 is the same in every sample (constant source, epsilon=0"
+                " or eta_min=eta_max), so the M-scaling errors are rounding noise"
+            )
         report += _result_lines(out["result"])
     elif spec.kind == "modes_sweep":
         n_values = spec.n_values or tuple(range(1, spec.base.num_modes + 1))

@@ -268,6 +268,22 @@ def test_sample_workers_give_results_in_item_order(monkeypatch, workers):
     assert not _sample_threads()
 
 
+def test_a_free_worker_does_not_wait_for_the_oldest_item(monkeypatch):
+    # One worker is busy with item 0 for 0.3 s; the other runs items 1-5
+    # meanwhile, before the caller has taken item 0's result.
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 2)
+    finished = []
+
+    def run(i):
+        time.sleep(0.3 if i == 0 else 0.02)
+        finished.append(i)
+        return i
+
+    with sample_workers(SolverCounters()) as in_sample_order:
+        assert list(in_sample_order(run, range(6))) == [0, 1, 2, 3, 4, 5]
+    assert finished == [1, 2, 3, 4, 5, 0]
+
+
 @pytest.mark.parametrize("workers", [3, None])
 def test_sample_workers_raise_an_item_error_in_the_caller(monkeypatch, workers):
     monkeypatch.setattr(linalg, "_worker_count", lambda pinned: workers)

@@ -25,7 +25,13 @@ from randhelm import (
     run_multimodes,
     solve_deterministic,
 )
-from randhelm.studies import config_from_dict, config_to_dict, parse_config, write_config
+from randhelm.studies import (
+    _write_table,
+    config_from_dict,
+    config_to_dict,
+    parse_config,
+    write_config,
+)
 
 
 def test_config_round_trip(tmp_path):
@@ -296,6 +302,27 @@ def test_m_scaling_slope_is_nan_when_an_error_is_zero(tmp_path):
         assert "m_scaling_slope=nan" in fh.read().splitlines()
 
 
+@pytest.mark.parametrize(
+    "base, warned",
+    [
+        (RunConfig(mesh_n=4), True),  # the constant source
+        (RunConfig(mesh_n=4, epsilon=0.0, source=SourceSpec(kind="radial_wave")), True),
+        (
+            RunConfig(
+                mesh_n=4, noise=NoiseSpec(low=0.5, high=0.5), source=SourceSpec(kind="radial_wave")
+            ),
+            True,
+        ),
+        (RunConfig(mesh_n=4, source=SourceSpec(kind="radial_wave")), False),
+    ],
+)
+def test_m_scaling_warns_when_mode_zero_cannot_vary(tmp_path, base, warned):
+    run_full(StudySpec(kind="m_scaling", base=base, m_values=(2, 4), m_ref=5), tmp_path)
+    with open(os.path.join(tmp_path, "report.txt")) as fh:
+        warnings = [line for line in fh.read().splitlines() if line.startswith("warning: mode 0")]
+    assert len(warnings) == warned
+
+
 def test_m_scaling_rows_are_shorter_runs():
     # Each row is the error of a run of the chain's first M samples: the
     # noise is keyed by (seed, sample), so it is the chain's own prefix.
@@ -309,6 +336,16 @@ def test_m_scaling_rows_are_shorter_runs():
         assert row["M"] == m
         assert row["err_l2"] == compare_fields(short.phis[0], phi_ref)["abs_l2"]
         assert row["err_l2"] > 0.0
+
+
+def test_write_table_text(tmp_path):
+    # Integers, numpy's included, print as str prints them; floats with 17
+    # significant digits, and -0.0, nan and inf as "%.17g" prints them.
+    path = os.path.join(tmp_path, "table.csv")
+    row = (3, np.int64(-7), 0.1, -0.0, np.nan, np.inf)
+    _write_table(path, ["a", "b", "c", "d", "e", "f"], [row])
+    with open(path) as fh:
+        assert fh.read() == "a,b,c,d,e,f\n3,-7,0.10000000000000001,-0,nan,inf\n"
 
 
 def test_export_cross_section(tmp_path):
