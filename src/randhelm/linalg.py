@@ -57,6 +57,9 @@ class SingularMatrixError(RuntimeError):
 class SolverCounters:
     """Factorization and solve counts, and seconds by phase name.
 
+    `solves` counts the columns actually substituted: a column that
+    several samples share counts once.
+
     `timed(phase)` adds the seconds of its block to `seconds[phase]`;
     `lu_factorize` and `lu_solve` time `factorize` and `solve`, and
     `sample_workers` times `sample_loop` (wall) and `sample_loop_cpu`.

@@ -3,8 +3,11 @@
 Each realization expands the random-medium solution in powers of the
 perturbation size epsilon; every mode solves the same constant-coefficient
 IP-DG system with a right-hand side built from the previous two modes.
-All M*N solves therefore reuse one factorization.  Samples advance through
-the modes in fixed half-blocks of 16, one multi-column substitution per
+Every solve therefore reuses one factorization.  When the source does not
+read the medium (the constant source), mode 0 is the same vector in every
+sample: it is solved once, on the calling thread, and shared, so a run
+makes 1 + M*(N-1) solves in place of M*N.  Samples advance through the
+modes in fixed half-blocks of 16, one multi-column substitution per
 mode and half-block.  Worker threads, one per core, each run whole
 half-blocks: noise draws, loads, block operators, substitutions, checks
 and norms (SuperLU and most array operations release the GIL).  The
@@ -99,14 +102,33 @@ class RunResult:
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
 
 
-def _block_modes(js, config, asm, factors):
+def _solved_mode(factors, rhs, counters, where):
+    """The modes of the load columns `rhs`, one contiguous row each (SuperLU
+    returns the columns in Fortran order); FloatingPointError naming
+    `where` if one is not finite."""
+    u = lu_solve(factors, rhs, counters).T
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError(f"nonfinite values in {where}")
+    return u
+
+
+def _mode_norms(asm, u):
+    """L2 and broken-H1 norms of the rows of `u`, shape (rows, 2), from
+    `asm.norm_forms`, the forms that `broken_norms` reads too."""
+    return np.sqrt(np.maximum(quadratic_forms(asm.norm_forms, u.T), 0.0)).T
+
+
+def _block_modes(js, config, asm, factors, mode0):
     """Mode recursion for one half-block of realizations, start to finish.
 
     Draws the media, builds all loads with one sparse product, and
     advances the samples through the modes together: one multi-column
     substitution per mode with the shared factorization `factors` of A0.
     Its columns are independent, so each sample gets what per-sample
-    solves, one column at a time, would give.
+    solves, one column at a time, would give.  `mode0` is None, or the
+    mode 0 that every sample shares and its norms (`_mode_norms`):
+    then mode 0 is that row repeated, and no source is drawn (nor any
+    medium, with N = 1).
 
     The recursion runs in coefficient space.  The load of mode n+1 is
     2k^2 (eta u_n, v) - ik <eta u_n, v> + k^2 (eta^2 u_{n-1}, v).  Each
@@ -122,46 +144,47 @@ def _block_modes(js, config, asm, factors):
 
     Returns what the calling thread reads, so that this can run on any
     thread: the per-mode sums over the half-block's samples, shape
-    (N, ndof); the summed L2 and broken-H1 mode norms, shape (N, 2), from
-    `asm.norm_forms`, the forms that `broken_norms` reads too; sample 0's
-    truncated field, the sum of eps^n u_n over the modes in order, in the
-    half-block that holds it, else None; and the half-block's own
-    `SolverCounters`.  Every sum runs over the samples in order.
+    (N, ndof); the summed L2 and broken-H1 mode norms, shape (N, 2);
+    sample 0's truncated field, the sum of eps^n u_n over the modes in
+    order, in the half-block that holds it, else None; and the
+    half-block's own `SolverCounters`.  Every sum runs over the samples
+    in order.
     """
     counters = SolverCounters()
     mesh, nb, ndof = asm.mesh, len(js), asm.space.ndof
-    media = [sample_media(mesh, config.noise, j) for j in js]
-    eta = np.stack([m.eta_volume for m in media])
-    eta_b = np.stack([m.eta_boundary for m in media])
-    del media
     k, k2 = config.k, config.k**2
-    rhs = asm.volume_loads(source_volume(config.source, mesh, eta, config.epsilon, k))
     N = config.num_modes
-    if N > 1:
-        current = asm.mass_operator((2.0 * k2) * eta)
-        boundary = (-1j * k) * eta_b
-    if N > 2:
-        previous = asm.mass_operator(k2 * (eta * eta))
-    del eta, eta_b
+    if mode0 is None or N > 1:
+        media = [sample_media(mesh, config.noise, j) for j in js]
+        eta = np.stack([m.eta_volume for m in media])
+        eta_b = np.stack([m.eta_boundary for m in media])
+        del media
+        if mode0 is None:
+            rhs = asm.volume_loads(source_volume(config.source, mesh, eta, config.epsilon, k))
+        if N > 1:
+            current = asm.mass_operator((2.0 * k2) * eta)
+            boundary = (-1j * k) * eta_b
+        if N > 2:
+            previous = asm.mass_operator(k2 * (eta * eta))
+        del eta, eta_b
     sums = np.empty((N, ndof), dtype=complex)
     norms = np.empty((nb, N, 2))
     eps_pow = config.epsilon ** np.arange(N)
     sample0 = np.zeros(ndof, dtype=complex) if js.start == 0 else None
     for n in range(N):
-        if n > 0:
-            rhs = real_product(current, u.ravel()).reshape(nb, ndof)
-            asm.add_boundary_loads(rhs, boundary, u)
-            if n > 1:
-                rhs += real_product(previous, u_prev.ravel()).reshape(nb, ndof)
-            rhs = rhs.T
-            u_prev = u  # u_{n-2} is no longer needed
-        # SuperLU returns the columns in Fortran order, so each sample's
-        # mode is one contiguous row of u.
-        u = lu_solve(factors, rhs, counters).T
-        del rhs
-        if not np.all(np.isfinite(u)):
-            raise FloatingPointError(f"nonfinite values in mode {n} of block {js}")
-        norms[:, n] = np.sqrt(np.maximum(quadratic_forms(asm.norm_forms, u.T), 0.0)).T
+        if n == 0 and mode0 is not None:
+            u, norms[:, 0] = np.repeat(mode0[0], nb, axis=0), mode0[1]
+        else:
+            if n > 0:
+                rhs = real_product(current, u.ravel()).reshape(nb, ndof)
+                asm.add_boundary_loads(rhs, boundary, u)
+                if n > 1:
+                    rhs += real_product(previous, u_prev.ravel()).reshape(nb, ndof)
+                rhs = rhs.T
+                u_prev = u  # u_{n-2} is no longer needed
+            u = _solved_mode(factors, rhs, counters, f"mode {n} of block {js}")
+            del rhs  # before the norms' temporaries, which would add to the peak
+            norms[:, n] = _mode_norms(asm, u)
         u.sum(axis=0, out=sums[n])
         if sample0 is not None:
             sample0 += eps_pow[n] * u[0]
@@ -172,19 +195,22 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     """Run the single-factorization multi-modes Monte Carlo algorithm.
 
     Exactly one factorization of A0 is performed regardless of M and N,
-    and all M*N substitutions reuse it.  The half-blocks run on one worker
-    thread per core of the process's CPU affinity, with SuperLU's OpenBLAS
-    on one thread in the whole process and glibc's malloc held to one arena
-    (`sample_workers`).  Results do not depend on scheduling, core count
-    or OpenBLAS's thread count.  A half-block holds two of its modes at a
+    and every substitution reuses it: M*N of them, or 1 + M*(N-1) when the
+    source does not read the medium, whose mode 0 is solved once on the
+    calling thread and shared by every sample.  The half-blocks run on one
+    worker thread per core of the process's CPU affinity, with SuperLU's
+    OpenBLAS on one thread in the whole process and glibc's malloc held to
+    one arena (`sample_workers`).  Results do not depend on scheduling,
+    core count or OpenBLAS's thread count.  A half-block holds two of its modes at a
     time and hands back sums, so memory grows with N only by the (N, ndof)
     sums.  The set-up (`uniform_assembler`), with the norm forms of the
     mode norms, is kept for the next call; the operator and its
     factorization are not, and the operator is freed as soon as it is
     factorized.  The counters time the phases `setup`, `assembly`,
     `factorize`, `solve`, `sample_loop` and `sample_loop_cpu`;
-    `solve` runs on the workers and is summed over them, and the loop's
-    CPU over wall seconds are the cores it used.
+    `solve` is summed over the workers and the calling thread, which
+    solves the shared mode 0, and the loop's CPU over wall seconds are
+    the cores it used.
     `threads` has no effect; the benchmark, which passes it, is its only
     reader outside the tests.
     """
@@ -203,10 +229,16 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     sample_field = None
 
     asm.norm_forms  # built here, not on the first workers
+    mode0 = None
+    if config.source.kind == "constant":
+        # This source does not read the medium, so neither does mode 0.
+        load = asm.volume_loads(source_volume(config.source, asm.mesh, None, 0.0, config.k)[None])
+        u0 = _solved_mode(factors, load, counters, "mode 0, shared by every sample")
+        mode0 = (u0, _mode_norms(asm, u0))
     blocks = [range(start, min(start + _BLOCK, M)) for start in range(0, M, _BLOCK)]
 
     def run_block(js):
-        return _block_modes(js, config, asm, factors)
+        return _block_modes(js, config, asm, factors, mode0)
 
     with sample_workers(counters) as in_sample_order:
         for sums, norms, sample0, block_counters in in_sample_order(run_block, blocks):

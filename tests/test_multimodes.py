@@ -26,6 +26,7 @@ from randhelm import (
 )
 from randhelm.assembly import uniform_assembler
 from randhelm.linalg import solves_are_pinned
+from randhelm.studies import solve_deterministic
 
 from oracle import eval_boundary, mode_rhs_update, per_sample_modes
 
@@ -80,7 +81,43 @@ def test_single_factorization_and_solve_count():
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=40, mesh_n=8)
     res = run_multimodes(cfg)
     assert res.counters.factorizations == 1
+    assert res.counters.solves == 1 + cfg.num_samples * (cfg.num_modes - 1)
+
+
+def test_radial_source_solves_every_mode_of_every_sample():
+    cfg = RunConfig(
+        k=5.0, epsilon=0.1, num_modes=3, num_samples=40, mesh_n=8,
+        source=SourceSpec(kind="radial_wave"),
+    )
+    res = run_multimodes(cfg)
+    assert res.counters.factorizations == 1
     assert res.counters.solves == cfg.num_samples * cfg.num_modes
+
+
+@pytest.mark.parametrize("mesh_n, degree", [(10, 1), (8, 2)])
+def test_one_mode_of_the_constant_source_is_one_solve(monkeypatch, mesh_n, degree):
+    # Mode 0 does not read the medium: one solve serves all 20 samples,
+    # and it is the deterministic solution bit for bit.  No medium is
+    # drawn, and the one source is the unperturbed one.
+    import randhelm.multimodes
+
+    source, etas = randhelm.multimodes.source_volume, []
+
+    def record_eta(spec, mesh, eta, *args):
+        etas.append(eta)
+        return source(spec, mesh, eta, *args)
+
+    def no_draw(*args):
+        raise AssertionError("a medium was drawn")
+
+    monkeypatch.setattr(randhelm.multimodes, "source_volume", record_eta)
+    monkeypatch.setattr(randhelm.multimodes, "sample_media", no_draw)
+    cfg = RunConfig(k=5.0, epsilon=0.2, num_modes=1, num_samples=20, mesh_n=mesh_n, degree=degree)
+    res = run_multimodes(cfg)
+    assert etas == [None]
+    assert (res.counters.factorizations, res.counters.solves) == (1, 1)
+    det = solve_deterministic(cfg)
+    assert res.sample_field.coefficients.tobytes() == det.coefficients.tobytes()
 
 
 def _run_bytes(res):
@@ -110,7 +147,7 @@ def test_calls_share_the_kept_set_up(degree):
     for res in (first, second, rebuilt):
         assert _run_bytes(res) == _run_bytes(first)
         assert res.counters.factorizations == 1
-        assert res.counters.solves == cfg.num_samples * cfg.num_modes
+        assert res.counters.solves == 1 + cfg.num_samples * (cfg.num_modes - 1)
     assert run_classical(cfg).psi_tilde.space is rebuilt.psi.space
 
     # Each of (mesh_n, degree, penalties) alone replaces the kept set-up.
@@ -206,7 +243,9 @@ def test_inline_substitutions_match_threaded(monkeypatch, degree, source):
         source=source,
     )
     threaded = run_multimodes(cfg)
-    assert threaded.counters.solves == cfg.num_samples * cfg.num_modes
+    # The constant source's mode 0 is one solve that every sample shares.
+    M, N = cfg.num_samples, cfg.num_modes
+    assert threaded.counters.solves == (1 + M * (N - 1) if source.kind == "constant" else M * N)
     # More workers than cores and frequent thread switches.
     monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 5)
     interval = sys.getswitchinterval()
@@ -362,13 +401,30 @@ def test_nonfinite_mode_is_an_error(monkeypatch, workers):
     solve = randhelm.multimodes.lu_solve
 
     def nan_from_mode_2(factors, b, counters):
-        # A half-block's own counters have seen modes 0 and 1 solved.
+        # A half-block's own counters have seen mode 1 solved: mode 0 is
+        # one column, solved before the loop with the run's counters.
         x = solve(factors, b, counters)
-        return x if counters.solves <= 2 * b.shape[1] else np.full_like(x, np.nan)
+        return x if counters.solves <= b.shape[1] else np.full_like(x, np.nan)
 
     monkeypatch.setattr(randhelm.multimodes, "lu_solve", nan_from_mode_2)
     monkeypatch.setattr(linalg, "_worker_count", lambda pinned: workers)
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=40, mesh_n=4)
     with pytest.raises(FloatingPointError, match=r"nonfinite values in mode 2 of block range\(0, 16\)"):
+        run_multimodes(cfg)
+    assert not [t for t in threading.enumerate() if t.name.startswith("randhelm-sample")]
+
+
+def test_nonfinite_shared_mode_0_is_an_error(monkeypatch):
+    import randhelm.multimodes
+
+    solve = randhelm.multimodes.lu_solve
+
+    def nan_from_the_start(factors, b, counters):
+        return np.full_like(solve(factors, b, counters), np.nan)
+
+    monkeypatch.setattr(randhelm.multimodes, "lu_solve", nan_from_the_start)
+    monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 3)
+    cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=40, mesh_n=4)
+    with pytest.raises(FloatingPointError, match="nonfinite values in mode 0, shared by every sample"):
         run_multimodes(cfg)
     assert not [t for t in threading.enumerate() if t.name.startswith("randhelm-sample")]
