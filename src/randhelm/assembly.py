@@ -96,12 +96,13 @@ class Assembler:
     pattern.
 
     `norm_forms` scatters the same blocks, with the norm's penalty
-    weights, into the real quadratic forms of the mode norms and
-    `broken_norms`; it is built on first use.  The load operators are the
-    transposes, stored by rows, of real sparse evaluation matrices at the
-    volume and boundary quadrature points, the boundary one restricted to
-    the DOFs of the elements with a boundary edge; only the boundary one
-    is kept, for the recursion's boundary loads.
+    weights, into the real quadratic forms that `norms` reads for the
+    mode norms and `broken_norms`; it is built on first use.  The load
+    operators are the transposes, stored by rows, of real sparse
+    evaluation matrices at the volume and boundary quadrature points, the
+    boundary one restricted to the DOFs of the elements with a boundary
+    edge; only the boundary one is kept, for the recursion's boundary
+    loads.
     `volume_loads`, `mass_operator` and `add_boundary_loads` serve the
     multi-modes recursion: they act on a batch of coefficient vectors.
     """
@@ -268,6 +269,17 @@ class Assembler:
         stiff = form(self.space.dofs, self._stiff)
         jump = form(self._ie_dofs, self._penalty_blocks(self.space.degree))
         return form(self.space.dofs, self._mass_blocks()), (stiff + jump).tocsr()
+
+    def norms(self, U) -> np.ndarray:
+        """L2 and broken-H1 norms of the rows of `U`, shape (rows, 2):
+        sqrt(max(u^H A u, 0)) for each form A of `norm_forms`.  The real
+        and imaginary parts of a row ride as two real columns of one
+        sparse product per form."""
+        Y = np.ascontiguousarray(U.T, dtype=complex).view(np.float64)
+        squares = [
+            np.einsum("dk,dk->k", Y, A @ Y).reshape(-1, 2).sum(axis=1) for A in self.norm_forms
+        ]
+        return np.sqrt(np.maximum(np.stack(squares), 0.0)).T
 
     # -- block operators on stacked coefficient vectors ------------------
 
@@ -528,14 +540,6 @@ def real_product(op, x) -> np.ndarray:
     return y.view(complex).reshape((op.shape[0],) + x.shape[1:])
 
 
-def quadratic_forms(forms, U) -> np.ndarray:
-    """u^H A u, shape (len(forms), columns), for each real symmetric form A
-    and column u of U: the sum of the forms of Re u and Im u, which ride as
-    two real columns of one sparse product."""
-    Y = np.ascontiguousarray(U, dtype=complex).view(np.float64)
-    return np.stack([np.einsum("dk,dk->k", Y, A @ Y).reshape(-1, 2).sum(axis=1) for A in forms])
-
-
 def get_assembler(space: DGSpace, penalties: PenaltySet = PenaltySet()) -> Assembler:
     """A new Assembler for (space, penalties); nothing is cached.  The
     drivers' set-up, kept between calls, is `uniform_assembler`.
@@ -558,12 +562,12 @@ def broken_norms(f: DGFunction, penalties) -> dict:
     The broken norm adds to the broken H1 seminorm penalty-weighted jump
     terms across interior edges: value jumps at gamma0*r/h_e,
     tangential-derivative jumps at beta1*r/h_e, and j-th normal-derivative
-    jumps at gamma_j*(h_e/r)^(2j-1).  The forms are the ones the
-    multi-modes driver's mode norms use, from the kept set-up
+    jumps at gamma_j*(h_e/r)^(2j-1).  This is `Assembler.norms`, which the
+    multi-modes driver's mode norms call too, on the kept set-up
     `uniform_assembler(n, r, penalties)` of the field's mesh size and
     degree (the DOF layout depends on these alone), so a call with other
     penalties replaces that set-up.
     """
-    forms = uniform_assembler(f.space.mesh.n, f.space.degree, penalties).norm_forms
-    l2_sq, h1_sq = np.maximum(quadratic_forms(forms, f.coefficients[:, None])[:, 0], 0.0)
-    return {"l2": np.sqrt(float(l2_sq)), "norm_1h": np.sqrt(float(h1_sq))}
+    asm = uniform_assembler(f.space.mesh.n, f.space.degree, penalties)
+    l2, h1 = asm.norms(f.coefficients[None])[0]
+    return {"l2": l2, "norm_1h": h1}

@@ -207,8 +207,14 @@ def single_blas_thread():
                 set_threads(_pin_previous)
 
 
-def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> np.ndarray:
+def lu_solve(
+    factors: LUFactors, b, counters: SolverCounters | None = None, where: str = "the solution"
+) -> np.ndarray:
     """Solve via forward/backward substitution with stored factors.
+
+    Every substitution is checked for finite values: a solution with a
+    nan or an inf raises FloatingPointError("nonfinite values in
+    {where}"), where `where` is the caller's name for what it solved.
 
     The substitution runs on one OpenBLAS thread (`single_blas_thread`),
     so each column of the solution is bit-identical whatever other
@@ -228,6 +234,8 @@ def lu_solve(factors: LUFactors, b, counters: SolverCounters | None = None) -> n
     with counters.timed("solve"), single_blas_thread():
         x = factors._lu.solve(b)
     counters.solves += 1 if b.ndim == 1 else b.shape[1]
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError(f"nonfinite values in {where}")
     return x
 
 

@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .assembly import PenaltySet, quadratic_forms, real_product, uniform_assembler
+from .assembly import PenaltySet, real_product, uniform_assembler
 from .linalg import SolverCounters, lu_factorize, lu_solve, sample_workers
 from .randomness import NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
@@ -102,22 +102,6 @@ class RunResult:
 _BLOCK = 16  # samples per half-block; fixed, so the summation order is too
 
 
-def _solved_mode(factors, rhs, counters, where):
-    """The modes of the load columns `rhs`, one contiguous row each (SuperLU
-    returns the columns in Fortran order); FloatingPointError naming
-    `where` if one is not finite."""
-    u = lu_solve(factors, rhs, counters).T
-    if not np.all(np.isfinite(u)):
-        raise FloatingPointError(f"nonfinite values in {where}")
-    return u
-
-
-def _mode_norms(asm, u):
-    """L2 and broken-H1 norms of the rows of `u`, shape (rows, 2), from
-    `asm.norm_forms`, the forms that `broken_norms` reads too."""
-    return np.sqrt(np.maximum(quadratic_forms(asm.norm_forms, u.T), 0.0)).T
-
-
 def _block_modes(js, config, asm, factors, mode0):
     """Mode recursion for one half-block of realizations, start to finish.
 
@@ -126,7 +110,7 @@ def _block_modes(js, config, asm, factors, mode0):
     substitution per mode with the shared factorization `factors` of A0.
     Its columns are independent, so each sample gets what per-sample
     solves, one column at a time, would give.  `mode0` is None, or the
-    mode 0 that every sample shares and its norms (`_mode_norms`):
+    mode 0 that every sample shares and its norms (`asm.norms`):
     then mode 0 is that row repeated, and no source is drawn (nor any
     medium, with N = 1).
 
@@ -182,9 +166,10 @@ def _block_modes(js, config, asm, factors, mode0):
                     rhs += real_product(previous, u_prev.ravel()).reshape(nb, ndof)
                 rhs = rhs.T
                 u_prev = u  # u_{n-2} is no longer needed
-            u = _solved_mode(factors, rhs, counters, f"mode {n} of block {js}")
+            # SuperLU returns the columns in Fortran order: one contiguous row per sample.
+            u = lu_solve(factors, rhs, counters, f"mode {n} of block {js}").T
             del rhs  # before the norms' temporaries, which would add to the peak
-            norms[:, n] = _mode_norms(asm, u)
+            norms[:, n] = asm.norms(u)
         u.sum(axis=0, out=sums[n])
         if sample0 is not None:
             sample0 += eps_pow[n] * u[0]
@@ -233,8 +218,8 @@ def run_multimodes(config: RunConfig, threads: int = 1) -> RunResult:
     if config.source.kind == "constant":
         # This source does not read the medium, so neither does mode 0.
         load = asm.volume_loads(source_volume(config.source, asm.mesh, None, 0.0, config.k)[None])
-        u0 = _solved_mode(factors, load, counters, "mode 0, shared by every sample")
-        mode0 = (u0, _mode_norms(asm, u0))
+        u0 = lu_solve(factors, load, counters, "mode 0, shared by every sample").T
+        mode0 = (u0, asm.norms(u0))
     blocks = [range(start, min(start + _BLOCK, M)) for start in range(0, M, _BLOCK)]
 
     def run_block(js):

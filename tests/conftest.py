@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,29 @@ def penalties():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def nan_substitutions(monkeypatch):
+    """`install(module, is_nan)` replaces `module.lu_factorize` by one whose
+    factors substitute NaN for every solution of a right-hand side b with
+    is_nan(b), below `lu_solve` and its finiteness check."""
+
+    class NaNSolves:
+        def __init__(self, lu, is_nan):
+            self.lu, self.is_nan = lu, is_nan
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            return np.full_like(x, np.nan) if self.is_nan(b) else x
+
+    def install(module, is_nan):
+        factorize = module.lu_factorize
+
+        def nan_factorize(A, counters=None):
+            factors = factorize(A, counters)
+            return replace(factors, _lu=NaNSolves(factors._lu, is_nan))
+
+        monkeypatch.setattr(module, "lu_factorize", nan_factorize)
+
+    return install

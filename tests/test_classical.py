@@ -40,13 +40,8 @@ def test_single_sample_matches_direct_solve():
     assert np.allclose(res.psi_tilde.coefficients, u, atol=1e-13)
 
 
-def test_nonfinite_solution_is_an_error(monkeypatch):
-    import randhelm.classical
-
-    def nan_solve(factors, b, counters=None):
-        return np.full(np.shape(b), np.nan + 0j)
-
-    monkeypatch.setattr(randhelm.classical, "lu_solve", nan_solve)
+def test_nonfinite_solution_is_an_error(nan_substitutions):
+    nan_substitutions(classical, lambda b: True)
     with pytest.raises(FloatingPointError, match="sample 0"):
         run_classical(RunConfig(k=5.0, num_samples=2, mesh_n=4))
 

@@ -31,6 +31,14 @@ def test_two_by_two_oracle():
     assert np.allclose(x, [0.6 - 0.2j, -0.2 + 0.4j], atol=1e-14)
 
 
+def test_nonfinite_solution_is_an_error_named_by_the_caller():
+    factors = lu_factorize(sp.csc_matrix(np.diag([1.0, 2.0])))
+    with pytest.raises(FloatingPointError, match="nonfinite values in the solution"):
+        lu_solve(factors, np.array([1.0, np.nan]))
+    with pytest.raises(FloatingPointError, match="nonfinite values in column 1"):
+        lu_solve(factors, np.array([[1.0, 1.0], [1.0, np.inf]]), where="column 1")
+
+
 def test_counters_vector_and_matrix_rhs():
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
     counters = SolverCounters()

@@ -120,6 +120,19 @@ def test_one_mode_of_the_constant_source_is_one_solve(monkeypatch, mesh_n, degre
     assert res.sample_field.coefficients.tobytes() == det.coefficients.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["constant", "radial_wave"])
+def test_one_sample_mode_norms_are_its_broken_norms(kind):
+    # With one sample the mode means are that sample's modes, and the mode
+    # norms come from the same function as `broken_norms`, bit for bit.
+    cfg = RunConfig(
+        k=5.0, epsilon=0.2, num_modes=3, num_samples=1, mesh_n=6, source=SourceSpec(kind=kind)
+    )
+    res = run_multimodes(cfg)
+    norms = [broken_norms(phi, cfg.penalties) for phi in res.phis]
+    assert res.mode_l2.tolist() == [nm["l2"] for nm in norms]
+    assert res.mode_h1.tolist() == [nm["norm_1h"] for nm in norms]
+
+
 def _run_bytes(res):
     """The bytes of a run's mean field, mode means and mode norms."""
     return (
@@ -395,18 +408,20 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("workers", [3, None])
-def test_nonfinite_mode_is_an_error(monkeypatch, workers):
+def test_nonfinite_mode_is_an_error(monkeypatch, nan_substitutions, workers):
     import randhelm.multimodes
 
-    solve = randhelm.multimodes.lu_solve
+    calls = threading.local()
 
-    def nan_from_mode_2(factors, b, counters):
-        # A half-block's own counters have seen mode 1 solved: mode 0 is
-        # one column, solved before the loop with the run's counters.
-        x = solve(factors, b, counters)
-        return x if counters.solves <= b.shape[1] else np.full_like(x, np.nan)
+    def mode_2(b):
+        # Mode 0 is one column, solved before the loop; a half-block
+        # solves its modes 1 and 2 in turn, on one thread.
+        if b.shape[1] == 1:
+            return False
+        calls.count = getattr(calls, "count", 0) + 1
+        return calls.count % 2 == 0
 
-    monkeypatch.setattr(randhelm.multimodes, "lu_solve", nan_from_mode_2)
+    nan_substitutions(randhelm.multimodes, mode_2)
     monkeypatch.setattr(linalg, "_worker_count", lambda pinned: workers)
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=40, mesh_n=4)
     with pytest.raises(FloatingPointError, match=r"nonfinite values in mode 2 of block range\(0, 16\)"):
@@ -414,15 +429,10 @@ def test_nonfinite_mode_is_an_error(monkeypatch, workers):
     assert not [t for t in threading.enumerate() if t.name.startswith("randhelm-sample")]
 
 
-def test_nonfinite_shared_mode_0_is_an_error(monkeypatch):
+def test_nonfinite_shared_mode_0_is_an_error(monkeypatch, nan_substitutions):
     import randhelm.multimodes
 
-    solve = randhelm.multimodes.lu_solve
-
-    def nan_from_the_start(factors, b, counters):
-        return np.full_like(solve(factors, b, counters), np.nan)
-
-    monkeypatch.setattr(randhelm.multimodes, "lu_solve", nan_from_the_start)
+    nan_substitutions(randhelm.multimodes, lambda b: True)
     monkeypatch.setattr(linalg, "_worker_count", lambda pinned: 3)
     cfg = RunConfig(k=5.0, epsilon=0.1, num_modes=3, num_samples=40, mesh_n=4)
     with pytest.raises(FloatingPointError, match="nonfinite values in mode 0, shared by every sample"):

@@ -249,6 +249,14 @@ def test_solve_deterministic_finite():
     assert np.abs(u.coefficients).max() > 0.0
 
 
+def test_solve_deterministic_refuses_a_nonfinite_solution(nan_substitutions):
+    import randhelm.studies
+
+    nan_substitutions(randhelm.studies, lambda b: True)
+    with pytest.raises(FloatingPointError, match="nonfinite values in the solution"):
+        solve_deterministic(RunConfig(k=5.0, mesh_n=4))
+
+
 def test_manufactured_convergence_rates():
     spec = StudySpec(
         kind="manufactured_convergence",
