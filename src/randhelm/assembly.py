@@ -88,8 +88,8 @@ class Assembler:
     values and fills that pattern in place, bit for bit as the conversion
     would (see `_CSCPattern`); no COO triplets are kept.  Most of the
     classical baseline's cost difference from the multi-modes method is
-    one `splu` factorization per sample; the fill and, in `lu_factorize`,
-    the U diagonal for the pivot check are paid per sample on top of it.
+    one `splu` factorization per sample, fill included; `lu_factorize`'s
+    pivot check reads SuperLU's own storage and copies neither L nor U.
     The set-up keeps only what a later call reads: the edge traces, from
     `DGSpace.edge_traces` on the sides that exist, live on as the jumps
     and the boundary traces, and the consistency blocks only in the

@@ -5,16 +5,19 @@ forward/backward substitutions; this is the entire cost advantage of the
 multi-modes solver over the per-sample refactorizing baseline.  The
 factorization uses a fill-reducing ordering on the symmetrized pattern
 with threshold partial pivoting (the operators are complex-symmetric and
-indefinite, so pure diagonal pivoting would be unsafe).  Every
-factorization and substitution runs on one BLAS thread where SuperLU's
-OpenBLAS allows it (`single_blas_thread`), so factors and solutions do
-not depend on OpenBLAS's thread count.  `sample_workers` runs both
-drivers' sample loops on worker threads.
+indefinite, so pure diagonal pivoting would be unsafe).  The pivot check
+reads U's diagonal from SuperLU's own storage, which depends on CPython
+and scipy's `SuperLUObject` layout (verified on scipy 1.17.1): no CSC copy
+of L or U is ever built.  Every factorization and substitution runs on one
+BLAS thread where SuperLU's OpenBLAS allows it (`single_blas_thread`), so
+factors and solutions do not depend on OpenBLAS's thread count.
+`sample_workers` runs both drivers' sample loops on worker threads.
 """
 from __future__ import annotations
 
 import ctypes
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,8 +26,10 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .assembly import SystemMatrix
 
@@ -96,8 +101,8 @@ class SolverCounters:
 class LUFactors:
     """Immutable LU factors, reused for any number of solves.
 
-    Holds only SuperLU's own factor storage: the CSC copies of L and U
-    that scipy builds for the pivot check are emptied (`lu_factorize`).
+    Holds only SuperLU's own factor storage: no CSC copy of L or U is
+    ever built (`lu_factorize` reads the pivots through `_pivots`).
     """
 
     _lu: object
@@ -114,10 +119,10 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
 
     Runs on one BLAS thread (`single_blas_thread`), so the factors are
     the same for identical input, whatever OpenBLAS's thread count or
-    the calling thread.  Raises ValueError for a matrix with
-    nonfinite entries, and SingularMatrixError when a pivot falls below
-    1e-14 of the largest pivot: the IP-DG system is provably nonsingular,
-    so a tiny pivot indicates an assembly bug.
+    the calling thread.  Raises ValueError for nonfinite entries, and
+    SingularMatrixError when a pivot (read by `_pivots`, with no CSC copy
+    of L or U ever built) falls below 1e-14 of the largest: the IP-DG
+    system is provably nonsingular, so a tiny pivot indicates an assembly bug.
     """
     mat = A.matrix if isinstance(A, SystemMatrix) else sp.csc_matrix(A)
     if mat.shape[0] != mat.shape[1]:
@@ -136,19 +141,51 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
             )
         except RuntimeError as exc:  # SuperLU reports exact zero pivots itself
             raise SingularMatrixError(-1, 0.0) from exc
-    U = lu.U
-    diag = np.abs(U.diagonal())
-    # Reading U builds CSC copies of L and U, which scipy may cache for the
-    # factor's lifetime; the solves use SuperLU's own storage, so empty them.
-    for copy in (lu.L, U):
-        copy.data = np.empty(0, copy.data.dtype)
-        copy.indices = np.empty(0, copy.indices.dtype)
-        copy.indptr = np.zeros_like(copy.indptr)
+    diag = np.abs(_pivots(lu))
     if diag.size and diag.min() < _PIVOT_RTOL * diag.max():
         raise SingularMatrixError(int(diag.argmin()), float(diag.min()))
     counters.factorizations += 1
     counters.lu_nnz = max(counters.lu_nnz, lu.nnz)
     return LUFactors(lu, mat.shape[0])
+
+
+class _SuperMatrix(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_int) for name in ("Stype", "Dtype", "Mtype", "nrow", "ncol")]
+    _fields_ += [("Store", ctypes.c_void_p)]
+
+
+class _SuperLUObject(ctypes.Structure):  # the head of scipy's SuperLUObject
+    _fields_ = [("header", ctypes.c_ssize_t * 2), ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("L", _SuperMatrix), ("U", _SuperMatrix)]
+
+
+class _SCformat(ctypes.Structure):
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int),
+                ("nzval", ctypes.POINTER(ctypes.c_double))]
+    _fields_ += [(name, ctypes.POINTER(ctypes.c_int)) for name in
+                 ("nzval_colptr", "rowind", "rowind_colptr", "col_to_sup", "sup_to_col")]
+
+
+def _pivots(lu) -> np.ndarray:
+    """U's diagonal, where SuperLU keeps it in L's supernodal store: pivot j
+    is nzval[nzval_colptr[j] + j - sup_to_col[col_to_sup[j]]].  Needs CPython
+    and scipy's `SuperLUObject` layout (verified on scipy 1.17.1); it is
+    checked before any pointer is read, and a mismatch raises RuntimeError."""
+    def check(ok):
+        if not ok:
+            raise RuntimeError(f"unexpected SuperLU object layout in scipy {scipy.__version__}")
+    check(type(lu) is _superlu.SuperLU and sys.implementation.name == "cpython"
+          and ctypes.sizeof(_SuperLUObject) <= type(lu).__basicsize__)
+    head = _SuperLUObject.from_address(id(lu))
+    n, array = head.n, np.ctypeslib.as_array
+    check((head.m, n) == lu.shape and head.L.Store and head.U.Store and
+          [(M.Stype, M.Dtype, M.Mtype, M.nrow, M.ncol) for M in (head.L, head.U)]
+          == [(3, 3, 1, n, n), (0, 3, 4, n, n)])  # SC/Z/TRLU and NC/Z/TRU
+    L = _SCformat.from_address(head.L.Store)
+    check(L.nnz + ctypes.c_int.from_address(head.U.Store).value == lu.nnz)  # NCformat's nnz
+    at = array(L.nzval_colptr, (n,)) + np.arange(n)
+    at -= array(L.sup_to_col, (L.nsuper + 1,))[array(L.col_to_sup, (n,))]
+    return array(L.nzval, (2 * int(at.max(initial=-1)) + 2,)).view(complex)[at]
 
 
 @cache
@@ -159,10 +196,8 @@ def _blas_threads_setter():
     OpenBLAS's pthreads builds (scipy's wheels among them); only OpenMP
     builds keep it per thread."""
     try:
-        from scipy.sparse.linalg._dsolve import _superlu
-
         fn = ctypes.CDLL(_superlu.__file__).openblas_set_num_threads_local
-    except (ImportError, OSError, AttributeError):
+    except (OSError, AttributeError):
         return None
     fn.argtypes = [ctypes.c_int]
     fn.restype = ctypes.c_int

@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from randhelm import (
     DGSpace,
+    NoiseSpec,
     RunConfig,
     SingularMatrixError,
     SolverCounters,
@@ -18,6 +20,7 @@ from randhelm import (
     lu_factorize,
     lu_solve,
     run_multimodes,
+    sample_media,
 )
 import randhelm.linalg as linalg
 from randhelm.linalg import sample_workers, single_blas_thread, solves_are_pinned
@@ -71,22 +74,64 @@ def test_counters_time_phases_and_add_them_by_name():
 
 
 def test_factors_keep_no_csc_copies():
-    # The pivot check reads U's diagonal, which makes scipy build CSC
-    # copies of L and U; the factor keeps neither (9.5 MiB here if kept).
+    # The pivot check reads U's diagonal from SuperLU's own storage, so no
+    # CSC copy of L or U is ever built (reading `lu.U` would build both and
+    # peak at 9.4 MiB here) and the factor keeps none.
     system = get_assembler(DGSpace(build_uniform_mesh(20), 2)).constant(5.0)
     lu_factorize(system)  # first calls allocate lasting state of their own
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         factors = lu_factorize(system)
-        retained = tracemalloc.get_traced_memory()[0] - start
+        retained, peak = (m - start for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    assert peak < 1024 * 1024
     assert retained < 256 * 1024
-    assert factors._lu.L.nnz == factors._lu.U.nnz == 0
     assert factors.nnz > 0
     b = np.ones(factors.dimension)
     assert np.abs(system.matrix @ lu_solve(factors, b) - b).max() < 1e-9
+
+
+def _pivoted_random_matrix():
+    # Small diagonal entries: the threshold pivoting must swap rows.
+    rng = np.random.default_rng(3)
+    A = sp.random(300, 300, density=0.05, random_state=rng)
+    A = A + 1j * sp.random(300, 300, density=0.05, random_state=rng)
+    return sp.csc_matrix(A + 1e-3 * sp.eye(300))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: get_assembler(DGSpace(build_uniform_mesh(20), 2)).constant(5.0),
+        lambda: get_assembler(DGSpace(build_uniform_mesh(12), 1)).variable(
+            7.0, sample_media(build_uniform_mesh(12), NoiseSpec(), 4), 0.3
+        ),
+        lambda: get_assembler(DGSpace(build_uniform_mesh(6), 3)).constant(5.0),
+        _pivoted_random_matrix,
+    ],
+    ids=["constant-20-2", "variable-12-1", "constant-6-3", "random-pivoted"],
+)
+def test_pivots_are_the_diagonal_of_scipys_U_bit_for_bit(build):
+    lu = lu_factorize(build())._lu
+    if build is _pivoted_random_matrix:
+        assert np.any(lu.perm_r != np.arange(lu.shape[0]))
+    diagonal = lu.U.diagonal()  # builds scipy's CSC copies of L and U
+    assert np.array_equal(linalg._pivots(lu).view(float), diagonal.view(float))
+
+
+def test_pivots_refuse_other_objects_before_reading_memory(monkeypatch):
+    def read(address):
+        raise AssertionError("read the memory of an object that is not scipy's SuperLU")
+
+    monkeypatch.setattr(linalg._SuperLUObject, "from_address", read)
+    for other in (sp.csc_matrix(np.eye(2)), object()):
+        with pytest.raises(RuntimeError, match=f"scipy {scipy.__version__}"):
+            linalg._pivots(other)
+    monkeypatch.undo()
+    with pytest.raises(RuntimeError, match="SuperLU object layout"):
+        linalg._pivots(splu(sp.csc_matrix(np.eye(2))))  # a real factor: not SLU_Z
 
 
 def test_factors_are_frozen():
@@ -111,6 +156,10 @@ def test_singular_matrix_detected():
         lu_factorize(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
     with pytest.raises(SingularMatrixError):
         lu_factorize(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 1e-20]])))
+    # A tiny pivot after the supernodes of an IP-DG operator.
+    operator = get_assembler(DGSpace(build_uniform_mesh(6), 1)).constant(5.0).matrix
+    with pytest.raises(SingularMatrixError):
+        lu_factorize(sp.block_diag([operator, [[1e-20]]], format="csc"))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
