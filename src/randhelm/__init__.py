@@ -4,7 +4,7 @@ classical per-sample baseline."""
 
 from .assembly import PenaltySet, broken_norms, get_assembler
 from .classical import BaselineResult, compare_fields, run_classical
-from .linalg import LUFactors, SingularMatrixError, SolverCounters, lu_factorize, lu_solve
+from .linalg import SingularMatrixError, SolverCounters, lu_factorize, lu_solve
 from .mesh import TriMesh, build_uniform_mesh
 from .multimodes import RunConfig, RunResult, run_multimodes
 from .randomness import MediaSample, NoiseSpec, sample_media

@@ -2,13 +2,14 @@
 
 A factorization is computed once and reused for any number of
 forward/backward substitutions; this is the entire cost advantage of the
-multi-modes solver over the per-sample refactorizing baseline.  The
-factorization uses a fill-reducing ordering on the symmetrized pattern
-with threshold partial pivoting (the operators are complex-symmetric and
-indefinite, so pure diagonal pivoting would be unsafe).  The pivot check
-reads U's diagonal from SuperLU's own storage, which depends on CPython
-and scipy's `SuperLUObject` layout (verified on scipy 1.17.1): no CSC copy
-of L or U is ever built.  Every factorization and substitution runs on one
+multi-modes solver over the per-sample refactorizing baseline.
+`lu_factorize` returns scipy's own `SuperLU` factor object, and
+`lu_solve` takes it.  The factorization uses a fill-reducing ordering on
+the symmetrized pattern with threshold partial pivoting (the operators
+are complex-symmetric and indefinite, so pure diagonal pivoting would be
+unsafe).  The pivot check reads U's diagonal from SuperLU's own storage,
+which depends on CPython and scipy's `SuperLUObject` layout (verified on
+scipy 1.17.1).  Every factorization and substitution runs on one
 BLAS thread where SuperLU's OpenBLAS allows it (`single_blas_thread`), so
 factors and solutions do not depend on OpenBLAS's thread count.
 `sample_workers` runs both drivers' sample loops on worker threads.
@@ -28,13 +29,12 @@ from functools import cache
 import numpy as np
 import scipy
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .assembly import SystemMatrix
 
 __all__ = [
-    "LUFactors",
     "SolverCounters",
     "SingularMatrixError",
     "lu_factorize",
@@ -97,32 +97,17 @@ class SolverCounters:
         return self
 
 
-@dataclass(frozen=True)
-class LUFactors:
-    """Immutable LU factors, reused for any number of solves.
-
-    Holds only SuperLU's own factor storage: no CSC copy of L or U is
-    ever built (`lu_factorize` reads the pivots through `_pivots`).
-    """
-
-    _lu: object
-    dimension: int
-
-    @property
-    def nnz(self) -> int:
-        """Fill of L and U; the benchmark is its only reader outside the tests."""
-        return self._lu.nnz
-
-
-def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
+def lu_factorize(A, counters: SolverCounters | None = None) -> SuperLU:
     """Factorize a sparse complex matrix (or SystemMatrix) as P_r A P_c = L U.
 
-    Runs on one BLAS thread (`single_blas_thread`), so the factors are
-    the same for identical input, whatever OpenBLAS's thread count or
-    the calling thread.  Raises ValueError for nonfinite entries, and
-    SingularMatrixError when a pivot (read by `_pivots`, with no CSC copy
-    of L or U ever built) falls below 1e-14 of the largest: the IP-DG
-    system is provably nonsingular, so a tiny pivot indicates an assembly bug.
+    Returns the `SuperLU` object that scipy's `splu` built, which holds
+    only SuperLU's own factor storage: no CSC copy of L or U is ever
+    built.  Runs on one BLAS thread (`single_blas_thread`), so the
+    factors are the same for identical input, whatever OpenBLAS's thread
+    count or the calling thread.  Raises ValueError for nonfinite
+    entries, and SingularMatrixError when a pivot (read by `_pivots`)
+    falls below 1e-14 of the largest: the IP-DG system is provably
+    nonsingular, so a tiny pivot indicates an assembly bug.
     """
     mat = A.matrix if isinstance(A, SystemMatrix) else sp.csc_matrix(A)
     if mat.shape[0] != mat.shape[1]:
@@ -146,7 +131,7 @@ def lu_factorize(A, counters: SolverCounters | None = None) -> LUFactors:
         raise SingularMatrixError(int(diag.argmin()), float(diag.min()))
     counters.factorizations += 1
     counters.lu_nnz = max(counters.lu_nnz, lu.nnz)
-    return LUFactors(lu, mat.shape[0])
+    return lu
 
 
 class _SuperMatrix(ctypes.Structure):
@@ -174,7 +159,7 @@ def _pivots(lu) -> np.ndarray:
     def check(ok):
         if not ok:
             raise RuntimeError(f"unexpected SuperLU object layout in scipy {scipy.__version__}")
-    check(type(lu) is _superlu.SuperLU and sys.implementation.name == "cpython"
+    check(type(lu) is SuperLU and sys.implementation.name == "cpython"
           and ctypes.sizeof(_SuperLUObject) <= type(lu).__basicsize__)
     head = _SuperLUObject.from_address(id(lu))
     n, array = head.n, np.ctypeslib.as_array
@@ -243,9 +228,11 @@ def single_blas_thread():
 
 
 def lu_solve(
-    factors: LUFactors, b, counters: SolverCounters | None = None, where: str = "the solution"
+    factors: SuperLU, b, counters: SolverCounters | None = None, where: str = "the solution"
 ) -> np.ndarray:
-    """Solve via forward/backward substitution with stored factors.
+    """Solve A x = b by forward/backward substitution with the `SuperLU`
+    factor of A that `lu_factorize` returned.  `b` has shape (n,) or
+    (n, k); any other shape raises ValueError.
 
     Every substitution is checked for finite values: a solution with a
     nan or an inf raises FloatingPointError("nonfinite values in
@@ -261,13 +248,12 @@ def lu_solve(
     threads run in parallel.
     """
     b = np.asarray(b, dtype=complex)
-    if b.shape[0] != factors.dimension:
-        raise ValueError(
-            f"right-hand side has length {b.shape[0]}, expected {factors.dimension}"
-        )
+    n = factors.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)")
     counters = SolverCounters() if counters is None else counters
     with counters.timed("solve"), single_blas_thread():
-        x = factors._lu.solve(b)
+        x = factors.solve(b)
     counters.solves += 1 if b.ndim == 1 else b.shape[1]
     if not np.all(np.isfinite(x)):
         raise FloatingPointError(f"nonfinite values in {where}")

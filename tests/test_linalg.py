@@ -1,4 +1,3 @@
-import dataclasses
 import threading
 import time
 import tracemalloc
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import SuperLU, splu, spsolve
 
 from randhelm import (
     DGSpace,
@@ -89,7 +88,7 @@ def test_factors_keep_no_csc_copies():
     assert peak < 1024 * 1024
     assert retained < 256 * 1024
     assert factors.nnz > 0
-    b = np.ones(factors.dimension)
+    b = np.ones(factors.shape[0])
     assert np.abs(system.matrix @ lu_solve(factors, b) - b).max() < 1e-9
 
 
@@ -114,7 +113,7 @@ def _pivoted_random_matrix():
     ids=["constant-20-2", "variable-12-1", "constant-6-3", "random-pivoted"],
 )
 def test_pivots_are_the_diagonal_of_scipys_U_bit_for_bit(build):
-    lu = lu_factorize(build())._lu
+    lu = lu_factorize(build())
     if build is _pivoted_random_matrix:
         assert np.any(lu.perm_r != np.arange(lu.shape[0]))
     diagonal = lu.U.diagonal()  # builds scipy's CSC copies of L and U
@@ -135,9 +134,28 @@ def test_pivots_refuse_other_objects_before_reading_memory(monkeypatch):
 
 
 def test_factors_are_frozen():
+    # Worker threads share one factor.
     factors = lu_factorize(sp.csc_matrix(np.eye(2)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        factors.dimension = 3
+    with pytest.raises(AttributeError):
+        factors.shape = (3, 3)
+    with pytest.raises(AttributeError):
+        factors.nnz = 3
+    assert factors.shape == (2, 2)
+
+
+def test_factors_are_scipys_superlu(rng):
+    A = _pivoted_random_matrix()
+    factors = lu_factorize(A)
+    assert type(factors) is SuperLU
+    with single_blas_thread():  # a threaded BLAS moves the factors' last digits
+        plain = splu(
+            A,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+            options={"SymmetricMode": True},
+        )
+    b = rng.standard_normal((A.shape[0], 3)) + 1j * rng.standard_normal((A.shape[0], 3))
+    assert lu_solve(plain, b).tobytes() == lu_solve(factors, b).tobytes()
 
 
 def test_counters_keep_the_largest_fill():
@@ -178,6 +196,10 @@ def test_rhs_length_checked():
     factors = lu_factorize(sp.csc_matrix(np.eye(3)))
     with pytest.raises(ValueError):
         lu_solve(factors, np.ones(4))
+    with pytest.raises(ValueError, match=r"expected \(3,\) or \(3, k\)"):
+        lu_solve(factors, 1.0)
+    with pytest.raises(ValueError, match=r"expected \(3,\) or \(3, k\)"):
+        lu_solve(factors, np.ones((3, 2, 2)))
 
 
 def test_multi_rhs_matches_columnwise(rng):
@@ -298,7 +320,7 @@ def test_factors_of_different_operators_give_different_solutions():
     f2 = lu_factorize(get_assembler(space).constant(6.0))
     b = np.ones(space.ndof)
     assert not np.allclose(lu_solve(f1, b), lu_solve(f2, b))
-    assert f1.dimension == space.ndof
+    assert f1.shape == (space.ndof, space.ndof)
     assert f1.nnz > 0
 
 
