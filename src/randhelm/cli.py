@@ -14,11 +14,11 @@ import sys
 
 import numpy as np
 
-from .classical import compare_fields, run_classical
+from .classical import run_classical
 from .mesh import build_uniform_mesh
-from .multimodes import run_multimodes
 from .studies import (
     StudySpec,
+    _compare_sweep,
     _fmt,
     _result_lines,
     _write_table,
@@ -87,9 +87,8 @@ def _cmd_run_classical(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args.config)
-    modes = run_multimodes(cfg)
-    base = run_classical(cfg)
-    cmp = compare_fields(modes.psi, base.psi_tilde)
+    ((_, _, abs_l2, rel_l2),) = _compare_sweep(cfg, (cfg.epsilon,), (cfg.num_modes,), [])
+    cmp = {"abs_l2": abs_l2, "rel_l2": rel_l2}
     for key, val in cmp.items():
         print(f"{key}={_fmt(val)}")
     if args.out:

@@ -7,10 +7,11 @@ emitted config echo to bit-identical tables.  Every CSV goes through
 """
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,30 +55,31 @@ def _split(text: str, kind) -> tuple:
 
 # -- configuration -----------------------------------------------------
 
-# Config key -> RunConfig field, or (field, subfield) of a nested spec.
-# A value is parsed to the type of the field's default; the one tuple
-# field, gamma_higher, is a comma list of floats.
-_CONFIG_KEYS = {
-    "k": ("k",),
-    "epsilon": ("epsilon",),
-    "N": ("num_modes",),
-    "M": ("num_samples",),
-    "n": ("mesh_n",),
-    "r": ("degree",),
-    "gamma0": ("penalties", "gamma0"),
-    "gamma_higher": ("penalties", "gamma_higher"),
-    "beta1": ("penalties", "beta1"),
-    "seed": ("noise", "seed"),
-    "eta_min": ("noise", "low"),
-    "eta_max": ("noise", "high"),
-    "source": ("source", "kind"),
-    "source_value": ("source", "value"),
+# Config key -> (attribute path from a StudySpec, parser): the run keys,
+# under `base`, in the order of the config echo, then the study keys.
+_KEYS = {
+    "k": ("base.k", float),
+    "epsilon": ("base.epsilon", float),
+    "N": ("base.num_modes", int),
+    "M": ("base.num_samples", int),
+    "n": ("base.mesh_n", int),
+    "r": ("base.degree", int),
+    "gamma0": ("base.penalties.gamma0", float),
+    "gamma_higher": ("base.penalties.gamma_higher", partial(_split, kind=float)),
+    "beta1": ("base.penalties.beta1", float),
+    "seed": ("base.noise.seed", int),
+    "eta_min": ("base.noise.low", float),
+    "eta_max": ("base.noise.high", float),
+    "source": ("base.source.kind", str),
+    "source_value": ("base.source.value", float),
+    "study": ("kind", str),
+    "mesh_sizes": ("mesh_sizes", partial(_split, kind=int)),
+    "M_values": ("m_values", partial(_split, kind=int)),
+    "N_values": ("n_values", partial(_split, kind=int)),
+    "eps_values": ("eps_values", partial(_split, kind=float)),
+    "M_ref": ("m_ref", int),
 }
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Every field of `cfg` as text; `config_from_dict` inverts it exactly."""
-    return {key: _fmt(reduce(getattr, path, cfg)) for key, path in _CONFIG_KEYS.items()}
+_RUN_KEYS = tuple(key for key, (path, _) in _KEYS.items() if path.startswith("base."))
 
 
 def _parse_value(d: dict, key: str, parse):
@@ -92,25 +94,44 @@ def _parse_value(d: dict, key: str, parse):
         ) from None
 
 
+def _read_keys(d: dict, keys) -> dict:
+    """Config text `d` as keyword arguments of a StudySpec, `base` always
+    among them.  Each value is converted in the order `d` lists it, and a
+    key not in `keys` is an error."""
+    if unknown := [key for key in d if key not in keys]:
+        raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    changes = {}
+    for key in d:
+        *outer, name = _KEYS[key][0].split(".")
+        inner = reduce(lambda c, part: c.setdefault(part, {}), outer, changes)
+        inner[name] = _parse_value(d, key, _KEYS[key][1])
+    changes["base"] = _replaced(RunConfig(), changes.get("base", {}))
+    return changes
+
+
+def _replaced(obj, changes: dict):
+    """`obj` with the nested attribute `changes`, each dataclass rebuilt once."""
+    return replace(obj, **{
+        name: _replaced(getattr(obj, name), value) if isinstance(value, dict) else value
+        for name, value in changes.items()
+    })
+
+
+def _write_keys(spec, keys) -> dict:
+    """The `keys` of `spec` (anything with a `base`) as text, in table order;
+    a study key whose value is () or None is left out."""
+    values = {key: attrgetter(_KEYS[key][0])(spec) for key in keys}
+    return {key: _fmt(v) for key, v in values.items() if key in _RUN_KEYS or v not in ((), None)}
+
+
+def config_to_dict(cfg: RunConfig) -> dict:
+    """Every field of `cfg` as text; `config_from_dict` inverts it exactly."""
+    return _write_keys(SimpleNamespace(base=cfg), _RUN_KEYS)
+
+
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from config text; absent keys keep their defaults."""
-    unknown = [key for key in d if key not in _CONFIG_KEYS]
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-    default = RunConfig()
-    top, nested = {}, {}
-    for key, path in _CONFIG_KEYS.items():
-        if key in d:
-            like = reduce(getattr, path, default)
-            parse = (lambda text: _split(text, float)) if isinstance(like, tuple) else type(like)
-            value = _parse_value(d, key, parse)
-            if len(path) == 1:
-                top[path[0]] = value
-            else:
-                nested.setdefault(path[0], {})[path[1]] = value
-    for name, changes in nested.items():
-        top[name] = replace(getattr(default, name), **changes)
-    return replace(default, **top)
+    return _read_keys(d, _RUN_KEYS)["base"]
 
 
 class _ConfigText(dict):
@@ -151,20 +172,11 @@ def write_config(d: dict, path) -> None:
     _write_lines(path, (f"{key}={val}" for key, val in d.items()))
 
 
-# Study key -> (StudySpec field, parser).
-_STUDY_KEYS = {
-    "mesh_sizes": ("mesh_sizes", lambda s: _split(s, int)),
-    "M_values": ("m_values", lambda s: _split(s, int)),
-    "N_values": ("n_values", lambda s: _split(s, int)),
-    "eps_values": ("eps_values", lambda s: _split(s, float)),
-    "M_ref": ("m_ref", int),
-}
-
-
 @dataclass(frozen=True)
 class StudySpec:
     """A parameter sweep around a base configuration, checked in full when
-    it is built, so that a study fails before it runs or writes."""
+    it is built, so that a study fails before it runs or writes.  Any
+    sequence of a sweep is stored as a tuple, so a spec is hashable."""
 
     kind: str
     base: RunConfig
@@ -179,19 +191,20 @@ class StudySpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
-        for key in ("mesh_sizes", "M_values", "N_values"):
-            for value in getattr(self, _STUDY_KEYS[key][0]):
-                if _integer(value, key) < 1:
-                    raise ValueError(f"{key} must be at least 1, got {value}")
-        if self.m_ref is not None and _integer(self.m_ref, "M_ref") < 1:
-            raise ValueError(f"M_ref must be at least 1, got {self.m_ref}")
-        for eps in self.eps_values:
-            if not 0.0 <= eps < 1.0:
-                raise ValueError(f"eps_values must lie in [0, 1), got {eps}")
         for key in ("mesh_sizes", "M_values", "N_values", "eps_values"):
-            vals = getattr(self, _STUDY_KEYS[key][0])
+            vals = tuple(getattr(self, _KEYS[key][0]))
+            object.__setattr__(self, _KEYS[key][0], vals)
+            for value in vals:
+                if key == "eps_values" and not 0.0 <= value < 1.0:
+                    raise ValueError(f"eps_values must lie in [0, 1), got {value}")
+                if key != "eps_values" and _integer(value, key) < 1:
+                    raise ValueError(f"{key} must be at least 1, got {value}")
             if any(a >= b for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{key} must be strictly ascending, got {_fmt(tuple(vals))}")
+                raise ValueError(f"{key} must be strictly ascending, got {_fmt(vals)}")
+        if self.m_ref is not None:
+            object.__setattr__(self, "m_ref", _integer(self.m_ref, "M_ref"))
+            if self.m_ref < 1:
+                raise ValueError(f"M_ref must be at least 1, got {self.m_ref}")
         if self.kind == "manufactured_convergence" and not self.mesh_sizes:
             raise ValueError("mesh_sizes must be nonempty")
         if self.kind == "m_scaling":
@@ -205,25 +218,11 @@ class StudySpec:
         """The `study` key, the sweep keys, and run keys for the base config."""
         if "study" not in d:
             raise ValueError("study config must contain a 'study' key")
-        sweep = {
-            name: _parse_value(d, key, parse)
-            for key, (name, parse) in _STUDY_KEYS.items()
-            if key in d
-        }
-        run = copy.copy(d)  # keeps parse_config's line of each key
-        for key in ("study", *_STUDY_KEYS):
-            run.pop(key, None)
-        return cls(kind=d["study"], base=config_from_dict(run), **sweep)
+        return cls(**_read_keys(d, _KEYS))
 
     def to_dict(self) -> dict:
         """The inverse of `from_dict`; empty sweep lists are left out."""
-        d = config_to_dict(self.base)
-        d["study"] = self.kind
-        for key, (name, _) in _STUDY_KEYS.items():
-            value = getattr(self, name)
-            if value not in ((), None):
-                d[key] = _fmt(value)
-        return d
+        return _write_keys(self, _KEYS)
 
 
 # -- deterministic solves and convergence ------------------------------
@@ -461,19 +460,13 @@ def run_full(config_or_spec, out_dir) -> None:
         )
     elif spec.kind == "manufactured_convergence":
         rows = run_manufactured_convergence(spec)
-        keys = ["n", "h", "err_l2", "err_h1", "rel_l2", "rate_l2", "rate_h1"]
-        _write_table(
-            path("tables", "convergence.csv"), keys, [[r[key] for key in keys] for r in rows]
-        )
+        _write_table(path("tables", "convergence.csv"), list(rows[0]), [r.values() for r in rows])
         for r in rows:
             report += _resolution_warning(spec.base.k, r["n"], spec.base.degree)
     elif spec.kind == "m_scaling":
         out = run_m_scaling(spec)
-        _write_table(
-            path("tables", "m_scaling.csv"),
-            ["M", "err_l2"],
-            [(r["M"], r["err_l2"]) for r in out["rows"]],
-        )
+        rows = out["rows"]
+        _write_table(path("tables", "m_scaling.csv"), list(rows[0]), [r.values() for r in rows])
         report.append(f"m_scaling_slope={_fmt(out['slope'])}")
         cfg = spec.base
         if cfg.source.kind == "constant" or cfg.epsilon == 0.0 or cfg.noise.low == cfg.noise.high:

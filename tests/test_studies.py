@@ -124,6 +124,12 @@ def test_unconvertible_values_name_their_key_and_line(tmp_path):
         fh.write("k=5\n# comment\nN=2.5\n")
     with pytest.raises(ValueError, match=r"c\.txt, line 3: cannot read config key 'N'"):
         config_from_dict(parse_config(path))
+    # Values convert in the order the file lists them: the first
+    # unreadable line is the one named.
+    with open(path, "w") as fh:
+        fh.write("N=2.5\nk=abc\n")
+    with pytest.raises(ValueError, match=r"c\.txt, line 1: cannot read config key 'N'"):
+        config_from_dict(parse_config(path))
     with open(path, "w") as fh:
         fh.write("study=m_scaling\nM_values=25,x\nk=abc\n")
     with pytest.raises(ValueError, match=r"line 2: cannot read config key 'M_values'"):
@@ -241,6 +247,58 @@ def test_study_spec_from_dict():
 )
 def test_study_spec_round_trip(spec):
     assert StudySpec.from_dict(spec.to_dict()) == spec
+
+
+def _ascending(elements, min_size=0):
+    return st.lists(elements, min_size=min_size, max_size=4, unique=True).map(sorted)
+
+
+@st.composite
+def _study_specs(draw):
+    kind = draw(st.sampled_from(StudySpec._KINDS))
+    mesh_sizes = _ascending(
+        st.integers(1, 500), min_size=1 if kind == "manufactured_convergence" else 0
+    )
+    m_values = draw(_ascending(st.integers(1, 10**6), min_size=2 if kind == "m_scaling" else 0))
+    m_ref = draw(st.none() | st.integers(max(m_values, default=0) + 1, 10**7))
+    return StudySpec(
+        kind=kind,
+        base=draw(_run_configs()),
+        mesh_sizes=draw(mesh_sizes),
+        m_values=m_values,
+        n_values=draw(_ascending(st.integers(1, 50))),
+        eps_values=draw(_ascending(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))),
+        m_ref=m_ref,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_study_specs())
+def test_study_spec_dict_round_trip_property(spec):
+    assert StudySpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize(
+    "kind, sweep",
+    [
+        ("manufactured_convergence", {"mesh_sizes": [2, 4]}),
+        ("m_scaling", {"m_values": [2, 4], "m_ref": np.int64(8)}),
+        ("modes_sweep", {"n_values": [1, 2]}),
+        ("compare", {"eps_values": [0.05, 0.1]}),
+    ],
+)
+def test_list_sweeps_are_stored_as_tuples(tmp_path, kind, sweep):
+    # Any sequence is accepted and kept as a tuple, so the spec hashes,
+    # writes its text and runs.
+    base = RunConfig(k=3.0, epsilon=0.1, num_modes=2, num_samples=2, mesh_n=4)
+    spec = StudySpec(kind=kind, base=base, **sweep)
+    for name, value in sweep.items():
+        expected = tuple(value) if isinstance(value, list) else int(value)
+        assert type(getattr(spec, name)) is type(expected) and getattr(spec, name) == expected
+    hash(spec)
+    assert StudySpec.from_dict(spec.to_dict()) == spec
+    run_full(spec, tmp_path)
+    assert StudySpec.from_dict(parse_config(os.path.join(tmp_path, "config.txt"))) == spec
 
 
 def test_solve_deterministic_finite():
