@@ -90,12 +90,11 @@ class Assembler:
     classical baseline's cost difference from the multi-modes method is
     one `splu` factorization per sample, fill included; `lu_factorize`'s
     pivot check reads SuperLU's own storage and copies neither L nor U.
-    The set-up keeps only what a later call reads: the edge traces, from
-    `DGSpace.edge_traces` on the sides that exist, live on as the jumps
-    and the boundary traces, and the consistency blocks only in the
-    pattern.
+    The set-up keeps only what a later call reads: of the edge traces,
+    only the boundary ones; the stiffness and interior-edge blocks live
+    on only in the pattern.
 
-    `norm_forms` scatters the same blocks, with the norm's penalty
+    `norm_forms` builds the same blocks again, with the norm's penalty
     weights, into the real quadratic forms that `norms` reads for the
     mode norms and `broken_norms`; it is built on first use.  The load
     operators are the transposes, stored by rows, of real sparse
@@ -115,24 +114,8 @@ class Assembler:
         ld = space.local_dim
         dofs = space.dofs
 
-        # Element blocks (stiffness and mass share indices).
-        self._stiff = _stiffness_blocks(mesh.volume_weights, space.Gphys)
-
-        # Interior-edge blocks on the stacked (K, K') DOF pair: the jumps
-        # of the values, the tangential and the normal derivatives.
-        ie = mesh.interior_edges
-        self._w_ie = mesh.edge_weights[ie]
-        self._h_ie = mesh.edge_length[ie]
-        inner, outer = (space.edge_traces(ie, s) for s in (0, 1))
-        self._jump_v, self._jump_t, *self._jump_n = (
-            np.concatenate([a, -b], axis=2) for a, b in zip(inner, outer)
-        )
-        avg_dn = 0.5 * np.concatenate([inner[2], outer[2]], axis=2)
-        cross = np.einsum("eq,eqi,eqj->eij", self._w_ie, avg_dn, self._jump_v)
-        cons = -(cross + cross.transpose(0, 2, 1))
-        self._ie_dofs = np.concatenate(
-            [dofs[mesh.edge_elems[ie, 0]], dofs[mesh.edge_elems[ie, 1]]], axis=1
-        )
+        stiff = _stiffness_blocks(mesh.volume_weights, space.Gphys)
+        cons, penalty = _interior_edge_blocks(space, penalties, 1)
 
         # Boundary-edge mass blocks, from the traces on side 0, the one
         # side with an element.
@@ -149,11 +132,12 @@ class Assembler:
         # pattern keeps the other terms; mass and boundary come with each
         # operator.
         elements = np.arange(mesh.n_elements)[:, None]
+        pairs = mesh.edge_elems[mesh.interior_edges]
         groups = (
-            (elements, self._stiff, False),
-            (elements, np.zeros(self._stiff.shape), True),
-            (mesh.edge_elems[ie], cons, False),
-            (mesh.edge_elems[ie], 1j * self._penalty_blocks(1), False),
+            (elements, stiff, False),
+            (elements, np.zeros(stiff.shape), True),
+            (pairs, cons, False),
+            (pairs, 1j * penalty, False),
             (mesh.edge_elems[be, :1], np.zeros((be.size, ld, ld)), True),
         )
         self._pattern = _CSCPattern(groups, space.ndof, ld)
@@ -181,27 +165,6 @@ class Assembler:
         self._bnd_load = self._bnd_eval.T.tocsr()
 
     # -- element and edge blocks -----------------------------------------
-
-    def _penalty_blocks(self, s) -> np.ndarray:
-        """Interior-edge blocks of the jump penalties at degree scale s.
-
-        Value jumps weigh gamma0*s/h_e, tangential-derivative jumps
-        beta1*s/h_e and j-th normal-derivative jumps gamma_j*(h_e/s)^(2j-1).
-        The operator uses s = 1, the broken norm s = r.
-        """
-        p, w, h_e = self.penalties, self._w_ie, self._h_ie
-
-        def weighted(scale, jump, out=None):
-            # The edge's scale times each weight, then the basis pair: the
-            # order of the product "e,eq,eqi,eqj" with one operand less.
-            return np.einsum("eq,eqi,eqj->eij", scale[:, None] * w, jump, jump, out=out)
-
-        blocks = weighted(p.gamma0 * s / h_e, self._jump_v)
-        term = np.empty_like(blocks)
-        blocks += weighted(p.beta1 * s / h_e, self._jump_t, term)
-        for j, jump_n in enumerate(self._jump_n, start=1):
-            blocks += weighted(p.gamma_j(j) * (h_e / s) ** (2 * j - 1), jump_n, term)
-        return blocks
 
     def _mass_blocks(self, c=None) -> np.ndarray:
         """Element blocks of the weighted mass form (c u, v).
@@ -255,8 +218,9 @@ class Assembler:
         """Real CSR forms (mass, energy) of the L2 and broken-H1 norms.
 
         The energy form is the stiffness form plus the jump form, the
-        penalty form at degree scale s = r.  Each of the three scatters its
-        blocks on the DOFs of their elements or edges, as the operator
+        penalty form at degree scale s = r; both blocks are built again
+        from the space, as the operator's are.  Each of the three scatters
+        its blocks on the DOFs of their elements or edges, as the operator
         does, in one COO-to-CSR conversion of its own.
         """
         def form(dofs, blocks):
@@ -266,9 +230,12 @@ class Assembler:
                 shape=(self.space.ndof, self.space.ndof),
             )
 
-        stiff = form(self.space.dofs, self._stiff)
-        jump = form(self._ie_dofs, self._penalty_blocks(self.space.degree))
-        return form(self.space.dofs, self._mass_blocks()), (stiff + jump).tocsr()
+        space, mesh = self.space, self.mesh
+        pair_dofs = space.dofs[mesh.edge_elems[mesh.interior_edges]]
+        stiff = form(space.dofs, _stiffness_blocks(mesh.volume_weights, space.Gphys))
+        _, penalty = _interior_edge_blocks(space, self.penalties, space.degree)
+        jump = form(pair_dofs.reshape(len(pair_dofs), -1), penalty)
+        return form(space.dofs, self._mass_blocks()), (stiff + jump).tocsr()
 
     def norms(self, U) -> np.ndarray:
         """L2 and broken-H1 norms of the rows of `U`, shape (rows, 2):
@@ -353,6 +320,38 @@ def _stiffness_blocks(w, G) -> np.ndarray:
         wg = w[:, q, None, None] * G[:, q]
         blocks += wg[:, :, None, 0] * G[:, q, None, :, 0] + wg[:, :, None, 1] * G[:, q, None, :, 1]
     return blocks
+
+
+def _interior_edge_blocks(space: DGSpace, penalties: PenaltySet, s) -> tuple:
+    """Blocks (consistency, penalty) of the interior edges on the stacked
+    DOFs of each edge's (K, K') pair, from the space's traces on both sides.
+
+    The consistency blocks are -<{dn u},[v]> - <[u],{dn v}>.  The jump
+    penalties at degree scale s weigh value jumps by gamma0*s/h_e,
+    tangential-derivative jumps by beta1*s/h_e and j-th normal-derivative
+    jumps by gamma_j*(h_e/s)^(2j-1).  The operator uses s = 1, the broken
+    norm s = r.
+    """
+    mesh = space.mesh
+    ie = mesh.interior_edges
+    w, h_e = mesh.edge_weights[ie], mesh.edge_length[ie]
+    inner, outer = (space.edge_traces(ie, side) for side in (0, 1))
+    jump_v, jump_t, *jumps_n = (np.concatenate([a, -b], axis=2) for a, b in zip(inner, outer))
+    avg_dn = 0.5 * np.concatenate([inner[2], outer[2]], axis=2)
+    cross = np.einsum("eq,eqi,eqj->eij", w, avg_dn, jump_v)
+
+    def weighted(scale, jump, out=None):
+        # The edge's scale times each weight, then the basis pair: the
+        # order of the product "e,eq,eqi,eqj" with one operand less.
+        return np.einsum("eq,eqi,eqj->eij", scale[:, None] * w, jump, jump, out=out)
+
+    p = penalties
+    blocks = weighted(p.gamma0 * s / h_e, jump_v)
+    term = np.empty_like(blocks)
+    blocks += weighted(p.beta1 * s / h_e, jump_t, term)
+    for j, jump_n in enumerate(jumps_n, start=1):
+        blocks += weighted(p.gamma_j(j) * (h_e / s) ** (2 * j - 1), jump_n, term)
+    return -(cross + cross.transpose(0, 2, 1)), blocks
 
 
 def _eval_matrix(values: np.ndarray, columns: np.ndarray, ncols: int) -> sp.csr_matrix:

@@ -82,6 +82,14 @@ class TriMesh:
         return np.einsum("...ij,...j->...i", self.jac_inv[labels], np.asarray(points, float) - v0)
 
 
+def _integer(value, name) -> int:
+    """`value` as an int; ValueError naming it unless it is an integer
+    (numpy's included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def build_uniform_mesh(n: int) -> TriMesh:
     """Build the uniform triangulation T_{1/n} of (-0.5, 0.5)^2.
 
@@ -91,6 +99,7 @@ def build_uniform_mesh(n: int) -> TriMesh:
     space on it, depend on n alone.  Output is deterministic: the same n
     yields a bit-identical mesh.
     """
+    n = _integer(n, "subdivision count n")
     if n < 1:
         raise ValueError("subdivision count n must be >= 1")
 

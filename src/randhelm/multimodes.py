@@ -30,19 +30,12 @@ import numpy as np
 
 from .assembly import PenaltySet, real_product, uniform_assembler
 from .linalg import SolverCounters, lu_factorize, lu_solve, sample_workers
+from .mesh import _integer
 from .randomness import NoiseSpec, sample_media
 from .sources import SourceSpec, source_volume
 from .space import DGFunction
 
 __all__ = ["RunConfig", "RunResult", "run_multimodes"]
-
-
-def _integer(value, name) -> int:
-    """`value` as an int; ValueError naming it unless it is an integer
-    (numpy's included, bool not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)

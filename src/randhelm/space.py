@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _integer
 
 __all__ = ["DGSpace", "DGFunction"]
 
@@ -31,6 +31,7 @@ class DGSpace:
     """
 
     def __init__(self, mesh: TriMesh, degree: int = 1):
+        degree = _integer(degree, "polynomial degree")
         if degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         self.mesh = mesh

@@ -18,7 +18,8 @@ import numpy as np
 from .assembly import PenaltySet, uniform_assembler
 from .classical import compare_fields, run_classical
 from .linalg import lu_factorize, lu_solve
-from .multimodes import RunConfig, RunResult, _integer, run_multimodes
+from .mesh import _integer
+from .multimodes import RunConfig, RunResult, run_multimodes
 from .sources import source_volume
 from .space import DGFunction
 

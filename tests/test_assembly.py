@@ -16,7 +16,14 @@ from randhelm import (
     sample_media,
     source_volume,
 )
-from randhelm.assembly import _block_entries, _CSCPattern, real_product, uniform_assembler
+from randhelm.assembly import (
+    _block_entries,
+    _CSCPattern,
+    _interior_edge_blocks,
+    _stiffness_blocks,
+    real_product,
+    uniform_assembler,
+)
 
 from oracle import eval_boundary
 
@@ -74,21 +81,43 @@ def test_wavenumber_validation(mesh4, space4):
             asm.variable(k, media, 0.1)
 
 
+def _interior_edge_reference(space, penalties, s):
+    """The interior-edge blocks (consistency, penalty) as first written,
+    from the space's traces on both sides and the mesh: the penalty by
+    four-operand einsums.  Also the DOFs of each edge's (K, K') pair."""
+    mesh = space.mesh
+    ie = mesh.interior_edges
+    w, h_e = mesh.edge_weights[ie], mesh.edge_length[ie]
+    inner, outer = (space.edge_traces(ie, side) for side in (0, 1))
+    jump_v, jump_t, *jumps_n = (np.concatenate([a, -b], axis=2) for a, b in zip(inner, outer))
+    avg_dn = 0.5 * np.concatenate([inner[2], outer[2]], axis=2)
+    cross = np.einsum("eq,eqi,eqj->eij", w, avg_dn, jump_v)
+    p = penalties
+    penalty = np.einsum("e,eq,eqi,eqj->eij", p.gamma0 * s / h_e, w, jump_v, jump_v)
+    penalty += np.einsum("e,eq,eqi,eqj->eij", p.beta1 * s / h_e, w, jump_t, jump_t)
+    for j, jump_n in enumerate(jumps_n, start=1):
+        scale = p.gamma_j(j) * (h_e / s) ** (2 * j - 1)
+        penalty += np.einsum("e,eq,eqi,eqj->eij", scale, w, jump_n, jump_n)
+    pairs = mesh.edge_elems[ie]
+    edge_dofs = np.concatenate([space.dofs[pairs[:, 0]], space.dofs[pairs[:, 1]]], axis=1)
+    return -(cross + cross.transpose(0, 2, 1)), penalty, edge_dofs
+
+
 def _coo_operator(asm, k, cvol=None, cbnd=None):
     """The operator by scipy's COO-to-CSC conversion of its terms, block by
     block: stiffness, mass, consistency, penalty, boundary mass.  Also the
     conversion's tracemalloc peak, with the terms built beforehand.  The
-    consistency blocks, -<{dn u},[v]> - <[u],{dn v}>, come from the space's
-    normal-derivative traces on both sides of the interior edges."""
+    stiffness and interior-edge blocks are the einsum forms, built from
+    the space and the mesh."""
     space, mesh = asm.space, asm.mesh
     dofs = space.dofs
-    dn = [space.edge_traces(mesh.interior_edges, side)[2] for side in (0, 1)]
-    cross = np.einsum("eq,eqi,eqj->eij", asm._w_ie, 0.5 * np.concatenate(dn, axis=2), asm._jump_v)
+    G = space.Gphys
+    cons, penalty, edge_dofs = _interior_edge_reference(space, asm.penalties, 1)
     terms = [
-        (dofs, asm._stiff),
+        (dofs, np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, G, G)),
         (dofs, (-k * k) * asm._mass_blocks(cvol)),
-        (asm._ie_dofs, -(cross + cross.transpose(0, 2, 1))),
-        (asm._ie_dofs, 1j * asm._penalty_blocks(1)),
+        (edge_dofs, cons),
+        (edge_dofs, 1j * penalty),
         (dofs[mesh.edge_elems[mesh.boundary_edges, 0]], 1j * k * asm._boundary_blocks(cbnd)),
     ]
     rows = np.concatenate([np.broadcast_to(d[:, :, None], b.shape).ravel() for d, b in terms])
@@ -164,19 +193,16 @@ def test_csc_pattern_of_element_blocks_sums_like_the_coo_conversion(seed, width)
 @pytest.mark.parametrize("n, degree", [(12, 1), (7, 2), (5, 3)])
 def test_blocks_match_the_einsum_forms_bit_for_bit(n, degree):
     mesh = build_uniform_mesh(n)
-    asm = get_assembler(DGSpace(mesh, degree))
-    G = asm.space.Gphys
+    space = DGSpace(mesh, degree)
+    G = space.Gphys
     stiff = np.einsum("eq,eqic,eqjc->eij", mesh.volume_weights, G, G)
-    assert asm._stiff.tobytes() == stiff.tobytes()
-    p, w, h_e = asm.penalties, asm._w_ie, asm._h_ie
+    assert _stiffness_blocks(mesh.volume_weights, G).tobytes() == stiff.tobytes()
+    penalties = PenaltySet()
     for s in (1, degree):
         # The penalty blocks as they were first written: four operands.
-        want = np.einsum("e,eq,eqi,eqj->eij", p.gamma0 * s / h_e, w, asm._jump_v, asm._jump_v)
-        want += np.einsum("e,eq,eqi,eqj->eij", p.beta1 * s / h_e, w, asm._jump_t, asm._jump_t)
-        for j, jump_n in enumerate(asm._jump_n, start=1):
-            scale = p.gamma_j(j) * (h_e / s) ** (2 * j - 1)
-            want += np.einsum("e,eq,eqi,eqj->eij", scale, w, jump_n, jump_n)
-        got = asm._penalty_blocks(s)
+        want_cons, want, _ = _interior_edge_reference(space, penalties, s)
+        cons, got = _interior_edge_blocks(space, penalties, s)
+        assert cons.tobytes() == want_cons.tobytes()
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
@@ -197,8 +223,9 @@ def test_variable_operator_needs_half_the_memory_of_the_coo_conversion():
 
 
 def test_kept_set_up_size_at_degree_two():
-    # The kept set-up holds no edge trace but the jumps and the boundary
-    # traces, and no block that only the operator's pattern reads.
+    # The kept set-up holds no interior-edge array: of the edge traces only
+    # the boundary ones, and no block that only the operator's pattern or
+    # the norm forms' build reads.
     uniform_assembler.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -208,7 +235,7 @@ def test_kept_set_up_size_at_degree_two():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 11 * 2**20
+    assert kept < 9 * 2**20
 
 
 def test_media_layout_mismatch_rejected(mesh4, space4, penalties):

@@ -70,6 +70,18 @@ def test_rejects_nonpositive_subdivision():
         build_uniform_mesh(0)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_rejects_a_subdivision_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=f"^subdivision count n {n!r} is not an integer$"):
+        build_uniform_mesh(n)
+
+
+def test_numpy_integer_subdivision_builds_the_same_mesh():
+    mesh = build_uniform_mesh(np.int64(3))
+    assert type(mesh.n) is int and mesh.n == 3
+    assert mesh.vertices.tobytes() == build_uniform_mesh(3).vertices.tobytes()
+
+
 def test_areas_and_weights(mesh4):
     # Per-element quadrature weights sum to the element area, h^2 / 2.
     h = 1.0 / mesh4.n

@@ -102,6 +102,18 @@ def test_linear_reproduction_on_element(space4):
     assert np.allclose(grads, [2.0, -3.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("degree", [1.5, 3.0, True])
+def test_rejects_a_degree_that_is_not_an_integer(mesh4, degree):
+    with pytest.raises(ValueError, match=f"^polynomial degree {degree!r} is not an integer$"):
+        DGSpace(mesh4, degree)
+
+
+def test_numpy_integer_degree_builds_the_same_space(mesh4):
+    space = DGSpace(mesh4, np.int64(3))
+    assert type(space.degree) is int and space.degree == 3
+    assert space.Gphys.tobytes() == DGSpace(mesh4, 3).Gphys.tobytes()
+
+
 def test_dgfunction_shape_validation(space4):
     with pytest.raises(ValueError):
         DGFunction(space4, np.zeros(space4.ndof + 1))
